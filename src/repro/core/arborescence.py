@@ -5,18 +5,24 @@ infected connected component, the maximum-likelihood activation forest
 
     T* = argmax_T  L(T) = Π_{(u,v) ∈ E_T} w(u, v)
 
-using the Chu-Liu/Edmonds algorithm. This module implements Edmonds from
-scratch in the paper's own vocabulary:
+using the Chu-Liu/Edmonds algorithm, in Tarjan's O(m log n) form
+(Tarjan 1977; Gabow, Galil, Spencer and Tarjan 1986). The paper's steps
+map onto it as follows:
 
-* :func:`maximum_weight_spanning_graph` — Algorithm 2 (MWSG): every node
-  greedily selects its maximum-score incoming edge;
-* :func:`find_circles` — detect the cycles that greedy selection creates;
-* the cycle **contraction** with score adjustment
-  ``w'(u_x, u_o) = w(u_x, u_y) - w(π(u_y), u_y)`` — Algorithm 3 (CC);
-* :func:`maximum_spanning_branching` — the full select/contract/expand
-  loop (Algorithm 4's engine), run iteratively: contraction levels are
-  pushed onto an explicit list and expanded in reverse, so deeply
-  nested cycle structures never touch the interpreter recursion limit.
+* Algorithm 2 (MWSG), every node selecting its maximum-score incoming
+  edge, is a pop from that node's mergeable heap of in-edges;
+* Algorithm 3 (CC), contracting a selected cycle with the score
+  adjustment ``w'(u_x, u_o) = w(u_x, u_y) - w(π(u_y), u_y)``, is a
+  lazy offset on each member's heap, a heap merge and a union-find join;
+* :func:`maximum_spanning_branching` runs the whole select/contract/expand
+  loop (Algorithm 4's engine) with explicit stacks only, so deeply nested
+  cycle structures never touch the interpreter recursion limit.
+
+Ties are frequent (Jaccard weights repeat), so the tie-break is part of
+the contract: nodes are indexed in ``repr`` order, edges in (source,
+target) index order, and a tie goes to the smaller edge index. The
+branching therefore depends only on the graph's content, never on the
+order its nodes or edges were inserted.
 
 Score transform: maximising ``Π w`` is maximising ``Σ log w``, so the
 default score is ``log`` (clamped at a floor for zero weights). The
@@ -36,12 +42,11 @@ roots are exactly the in-degree-0 infected users.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import ArborescenceError
 from repro.graphs.signed_digraph import SignedDiGraph
-from repro.types import Edge, Node
+from repro.types import Node
 
 #: Floor applied inside the log score so zero-weight edges stay usable
 #: (they are worse than any positive-weight edge but better than no tree).
@@ -68,190 +73,183 @@ SCORE_TRANSFORMS: Dict[str, Callable[[float], float]] = {
 }
 
 
-@dataclass
-class _ArbEdge:
-    """Internal edge record threaded through contractions.
+class _InEdgeHeaps:
+    """Mergeable max-heaps of edges (skew heaps with lazy score offsets).
 
-    ``original`` always refers to the edge of the *input* graph this
-    record descends from, so expansion is a constant-time lookup.
+    Heap nodes are edge indices. ``lazy[x]`` is an offset still owed to
+    ``x`` and its whole subtree, pushed one level down whenever ``x`` is
+    touched, so adding a constant to every edge of a heap is O(1). The
+    top of a heap is its highest adjusted score; ties go to the smaller
+    edge index. Merging walks the right spines with an explicit stack,
+    so no heap shape can reach the interpreter recursion limit.
     """
 
-    u: Node
-    v: Node
-    score: float
-    original: Edge
+    def __init__(self, scores: List[float]) -> None:
+        m = len(scores)
+        self.key = list(scores)
+        self.lazy = [0.0] * m
+        self.left = [-1] * m
+        self.right = [-1] * m
+
+    def _push(self, x: int) -> None:
+        delta = self.lazy[x]
+        if delta:
+            self.key[x] += delta
+            self.lazy[x] = 0.0
+            child = self.left[x]
+            if child >= 0:
+                self.lazy[child] += delta
+            child = self.right[x]
+            if child >= 0:
+                self.lazy[child] += delta
+
+    def merge(self, a: int, b: int) -> int:
+        """Meld heaps ``a`` and ``b`` (-1 is the empty heap); returns the root."""
+        if a < 0:
+            return b
+        if b < 0:
+            return a
+        key, left, right, push = self.key, self.left, self.right, self._push
+        spine: List[int] = []
+        while a >= 0 and b >= 0:
+            push(a)
+            push(b)
+            if key[b] > key[a] or (key[b] == key[a] and b < a):
+                a, b = b, a
+            spine.append(a)
+            a = right[a]
+        tail = a if a >= 0 else b
+        # Skew step: every spine node swaps its children on the way back up.
+        for x in reversed(spine):
+            right[x] = left[x]
+            left[x] = tail
+            tail = x
+        return tail
+
+    def pop(self, a: int) -> int:
+        """Detach root ``a`` (its key is then final); returns the rest."""
+        self._push(a)
+        return self.merge(self.left[a], self.right[a])
+
+    def add(self, a: int, delta: float) -> None:
+        """Add ``delta`` to every score in heap ``a``."""
+        if a >= 0:
+            self.lazy[a] += delta
 
 
-def maximum_weight_spanning_graph(
-    graph: SignedDiGraph,
-    score: str = "log",
-) -> Dict[Node, Tuple[Node, float]]:
-    """Algorithm 2 (MWSG): each node selects its best incoming edge.
+class _RollbackUnionFind:
+    """Union by size without path compression, so joins can be undone."""
 
-    Returns:
-        Mapping ``v -> (u, score)`` for every node ``v`` with at least one
-        in-edge; in-degree-0 nodes are absent (they are forest roots).
-    """
-    transform = SCORE_TRANSFORMS[score]
-    best: Dict[Node, Tuple[Node, float]] = {}
-    for v in graph.nodes():
-        chosen: Optional[Tuple[Node, float]] = None
-        for u, _, data in sorted(graph.in_edges(v), key=lambda e: repr(e[0])):
-            if u == v:
-                continue
-            s = transform(data.weight)
-            if chosen is None or s > chosen[1]:
-                chosen = (u, s)
-        if chosen is not None:
-            best[v] = chosen
-    return best
+    def __init__(self, n: int) -> None:
+        self.link = [-1] * n  # parent index, or -size for a representative
+        self.history: List[Tuple[int, int]] = []
 
+    def find(self, x: int) -> int:
+        link = self.link
+        while link[x] >= 0:
+            x = link[x]
+        return x
 
-def find_circles(parent: Dict[Node, Node]) -> List[List[Node]]:
-    """Find all directed cycles in a partial functional graph ``v -> parent``.
+    def time(self) -> int:
+        return len(self.history)
 
-    ``parent`` maps each node to its single selected in-neighbour; nodes
-    without an entry are roots. Each cycle is returned once, as a list of
-    its member nodes in traversal order.
-    """
-    color: Dict[Node, int] = {}  # 0 unseen implicit, 1 in-progress, 2 done
-    cycles: List[List[Node]] = []
-    # Plain dict iteration: insertion order is deterministic (the caller
-    # builds `parent` in a deterministic order), and the set of cycles
-    # found is independent of traversal order anyway.
-    for start in parent:
-        if color.get(start):
-            continue
-        path: List[Node] = []
-        node: Optional[Node] = start
-        while node is not None and color.get(node, 0) == 0:
-            color[node] = 1
-            path.append(node)
-            node = parent.get(node)
-        if node is not None and color.get(node) == 1:
-            # Found a new cycle: the suffix of `path` starting at `node`.
-            cycle_start = path.index(node)
-            cycles.append(path[cycle_start:])
-        for visited in path:
-            color[visited] = 2
-    return cycles
+    def join(self, a: int, b: int) -> bool:
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return False
+        link = self.link
+        if link[a] > link[b]:
+            a, b = b, a
+        self.history.append((a, link[a]))
+        self.history.append((b, link[b]))
+        link[a] += link[b]
+        link[b] = a
+        return True
 
-
-def _greedy_in_edges(
-    nodes: Sequence[Node], edges: Sequence[_ArbEdge], root: Node
-) -> Dict[Node, _ArbEdge]:
-    """Pick the best-scoring in-edge for every non-root node."""
-    best: Dict[Node, _ArbEdge] = {}
-    for edge in edges:
-        if edge.v == root or edge.u == edge.v:
-            continue
-        current = best.get(edge.v)
-        if current is None or edge.score > current.score:
-            best[edge.v] = edge
-    missing = [v for v in nodes if v != root and v not in best]
-    if missing:
-        raise ArborescenceError(
-            f"no incoming edge available for nodes {missing[:5]!r}; "
-            "the input is not reachable from the root"
-        )
-    return best
+    def rollback(self, time: int) -> None:
+        link, history = self.link, self.history
+        while len(history) > time:
+            x, value = history.pop()
+            link[x] = value
 
 
 def _max_arborescence(
-    nodes: List[Node],
-    edges: List[_ArbEdge],
-    root: Node,
-    next_label: int,
-) -> List[_ArbEdge]:
-    """Iterative Chu-Liu/Edmonds for a rooted maximum arborescence.
+    n: int, src: Sequence[int], dst: Sequence[int], scores: List[float]
+) -> List[int]:
+    """Maximum arborescence rooted at node 0, in O(m log n).
 
-    Select/contract until the greedy selection is acyclic, recording one
-    level record per contraction round, then expand the records in
-    reverse. (This used to be a recursive function — one stack frame per
-    contraction level; deeply nested cycle structures could exceed the
-    interpreter recursion limit.)
+    Edge ``e`` runs ``src[e] -> dst[e]`` with score ``scores[e]``; nodes
+    are ``0..n-1``. Returns ``chosen`` with ``chosen[v]`` the index of
+    ``v``'s in-edge (``chosen[0]`` is -1).
 
-    Returns the chosen edges (as the internal records, whose ``original``
-    fields identify input-graph edges).
+    Tarjan's formulation of Chu-Liu/Edmonds: each node keeps a heap of
+    its in-edges. Walking from every node in index order, the current
+    supernode takes its best in-edge and subtracts that edge's score from
+    the rest of its heap — the paper's ``w'(u_x, u_o) = w(u_x, u_y) -
+    w(π(u_y), u_y)`` as one lazy offset. When the walk closes a cycle,
+    the members are joined in a rollback union-find and their heaps are
+    merged into the new supernode's heap, which continues the walk. The
+    contractions are then undone newest first: each cycle keeps all its
+    edges except the one into the member its chosen in-edge enters.
     """
-    # (node_of, cycle_edges) per contraction round, innermost last.
-    levels: List[Tuple[Dict[Node, Node], Dict[Node, Dict[Node, _ArbEdge]], Dict[Edge, Node]]] = []
-    while True:
-        best = _greedy_in_edges(nodes, edges, root)
-        cycles = find_circles({v: e.u for v, e in best.items()})
-        if not cycles:
-            chosen = list(best.values())
-            break
+    heaps = _InEdgeHeaps(scores)
+    heap = [-1] * n
+    for e, v in enumerate(dst):
+        heap[v] = heaps.merge(heap[v], e)
 
-        # --- Contract every cycle (Algorithm 3) -------------------------
-        node_of: Dict[Node, Node] = {}  # member -> supernode label
-        cycle_edges: Dict[Node, Dict[Node, _ArbEdge]] = {}  # supernode -> {member: its cycle in-edge}
-        for cycle in cycles:
-            supernode: Node = ("__cycle__", next_label)
-            next_label += 1
-            cycle_edges[supernode] = {member: best[member] for member in cycle}
-            for member in cycle:
-                node_of[member] = supernode
+    uf = _RollbackUnionFind(n)
+    find = uf.find
+    seen = [-1] * n  # walk that finalised a supernode, -1 while open
+    seen[0] = 0
+    chosen = [-1] * n
+    # (supernode, union-find time before the join, the cycle's edges)
+    contractions: List[Tuple[int, int, List[int]]] = []
+    for start in range(1, n):
+        u = start
+        path: List[int] = []
+        picked: List[int] = []
+        while seen[u] < 0:
+            best = heap[u]
+            while True:
+                if best < 0:
+                    raise ArborescenceError(
+                        f"no incoming edge available for node index {u}; "
+                        "the input is not reachable from the root"
+                    )
+                rest = heaps.pop(best)
+                if find(src[best]) != u:
+                    break
+                best = rest  # edge inside the supernode: never usable again
+            heaps.add(rest, -heaps.key[best])
+            heap[u] = rest
+            seen[u] = start
+            path.append(u)
+            picked.append(best)
+            u = find(src[best])
+            if seen[u] == start:
+                # The walk closed a cycle: contract it into one supernode.
+                time = uf.time()
+                cycle: List[int] = []
+                merged = -1
+                while True:
+                    member = path.pop()
+                    cycle.append(picked.pop())
+                    merged = heaps.merge(merged, heap[member])
+                    if not uf.join(u, member):
+                        break
+                u = find(u)
+                heap[u] = merged
+                seen[u] = -1
+                contractions.append((u, time, cycle))
+        for e in picked:
+            chosen[find(dst[e])] = e
 
-        # Order is irrelevant here (the node list only feeds the coverage
-        # check in _greedy_in_edges); dict-from-keys preserves determinism
-        # without paying for a repr sort on every contraction level.
-        contracted_nodes: List[Node] = list(
-            dict.fromkeys(node_of.get(n, n) for n in nodes)
-        )
-        # For each contracted in-edge we must remember which cycle member it
-        # actually enters, to know which cycle edge to drop on expansion.
-        # Keyed by the edge's `original` identity, which is unique per level
-        # and survives the copies deeper contraction levels make.
-        entry_member: Dict[Edge, Node] = {}
-        # Parallel-edge dedup: edges into a contracted node are all adjusted
-        # relative to the cycle edge their own entry point displaces, and
-        # within one (source, target) supernode pair only the best adjusted
-        # score can ever be selected — at this level or any deeper one (later
-        # adjustments subtract the same displaced score from every parallel
-        # edge). Keeping only the max keeps each level's edge count bounded
-        # by the contracted graph's pair count instead of the input size.
-        best_pair: Dict[Tuple[Node, Node], _ArbEdge] = {}
-        for edge in edges:
-            cu = node_of.get(edge.u, edge.u)
-            cv = node_of.get(edge.v, edge.v)
-            if cu == cv:
-                continue  # intra-cycle edge: dropped
-            if cv in cycle_edges:
-                # Edge entering a cycle: adjust the score by the cycle edge it
-                # would displace (w'(u_x, u_o) = w(u_x, u_y) - w(pi(u_y), u_y)).
-                displaced = cycle_edges[cv][edge.v]
-                entry_member[edge.original] = edge.v
-                candidate = _ArbEdge(cu, cv, edge.score - displaced.score, edge.original)
-            else:
-                candidate = _ArbEdge(cu, cv, edge.score, edge.original)
-            current = best_pair.get((cu, cv))
-            if current is None or candidate.score > current.score:
-                best_pair[(cu, cv)] = candidate
-
-        levels.append((node_of, cycle_edges, entry_member))
-        nodes = contracted_nodes
-        edges = list(best_pair.values())
-        root = node_of.get(root, root)
-
-    # --- Expand, innermost contraction first ------------------------------
-    # Map each original edge chosen in the contraction back, and for each
-    # cycle keep every internal edge except the one displaced by the
-    # chosen entry edge.
-    for node_of, cycle_edges, entry_member in reversed(levels):
-        result: List[_ArbEdge] = []
-        entered: Dict[Node, Node] = {}  # supernode -> member its in-edge enters
-        for edge in chosen:
-            result.append(edge)
-            member = entry_member.get(edge.original)
-            if member is not None and member in node_of:
-                entered[node_of[member]] = member
-        for supernode, members in cycle_edges.items():
-            drop = entered.get(supernode)
-            for member, cycle_edge in members.items():
-                if member != drop:
-                    result.append(cycle_edge)
-        chosen = result
+    for supernode, time, cycle in reversed(contractions):
+        uf.rollback(time)
+        entering = chosen[supernode]
+        for e in cycle:
+            chosen[find(dst[e])] = e
+        chosen[find(dst[entering])] = entering
     return chosen
 
 
@@ -282,7 +280,18 @@ def maximum_spanning_branching(
     if not nodes:
         return forest
 
-    virtual_root: Node = ("__virtual_root__",)
+    # Canonical indexing makes the result depend only on the graph's
+    # content: node i+1 is the i-th node in repr order (0 is the virtual
+    # root), the virtual edges come first and the real edges follow in
+    # (source index, target index) order, and heap ties go to the smaller
+    # edge index.
+    order = sorted(nodes, key=repr)
+    index = {node: i for i, node in enumerate(order, start=1)}
+    real = sorted(
+        (index[u], index[v], transform(data.weight))
+        for u, v, data in graph.iter_edges()
+        if u != v
+    )
     # Virtual edges mark forest roots. Their score must be low enough that
     # (a) a virtual edge never beats any chain of real alternatives and
     # (b) solutions with fewer virtual edges always win — but NOT so low
@@ -292,20 +301,18 @@ def maximum_spanning_branching(
     # so this bound keeps virtual edges strictly dominated while preserving
     # full precision on real-score comparisons.
     virtual_score = -(2.0 * len(nodes) + 10.0) * _MAX_ABS_SCORE
-    edges: List[_ArbEdge] = [
-        _ArbEdge(virtual_root, v, virtual_score, (virtual_root, v)) for v in nodes
-    ]
-    for u, v, data in graph.iter_edges():
-        if u != v:
-            edges.append(_ArbEdge(u, v, transform(data.weight), (u, v)))
+    src = [0] * len(order) + [u for u, _, _ in real]
+    dst = list(range(1, len(order) + 1)) + [v for _, v, _ in real]
+    scores = [virtual_score] * len(order) + [s for _, _, s in real]
 
-    chosen = _max_arborescence([virtual_root] + nodes, edges, virtual_root, 0)
-    for edge in chosen:
-        u, v = edge.original
-        if u == virtual_root:
-            continue  # v is a forest root
-        data = graph.edge(u, v)
-        forest.add_edge(u, v, int(data.sign), data.weight)
+    chosen = _max_arborescence(len(order) + 1, src, dst, scores)
+    for v in range(1, len(order) + 1):
+        u = src[chosen[v]]
+        if u == 0:
+            continue  # a forest root
+        parent, child = order[u - 1], order[v - 1]
+        data = graph.edge(parent, child)
+        forest.add_edge(parent, child, int(data.sign), data.weight)
     return forest
 
 

@@ -232,7 +232,7 @@ class ArborescenceStage(Stage):
     """Per-component max-likelihood branching + split into cascade trees."""
 
     name = "arborescence"
-    version = 1
+    version = 2
     persist = True
 
     def config_digest(self, config: "Any") -> str:

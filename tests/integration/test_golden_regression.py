@@ -44,8 +44,11 @@ class TestGoldenPipeline:
         workload = make_workload()
         result = RID(RIDConfig(beta=0.8)).detect(workload.infected)
         # Pin the size and a couple of members rather than the whole set,
-        # so failure messages stay readable.
-        assert len(result.initiators) == 5
+        # so failure messages stay readable. Re-pinned from 5 to 6 when the
+        # tree extraction moved to a content-canonical tie-break: on tied
+        # weights it picks another, equally likely shape for the 304-node
+        # tree, in which the DP places one more initiator (node 92).
+        assert len(result.initiators) == 6
         tree_roots = RIDTreeDetector(prune_inconsistent=True).detect(
             workload.infected
         )

@@ -81,6 +81,21 @@ class TestDetectIdentity:
         payload = client.detect(infected, budget=5, config=config, raw=True)
         assert canonical(payload["result"]) == canonical(direct.to_json())
 
+    def test_tied_weights_snapshot_is_bit_identical(self, served):
+        # The server decodes nodes in repr order, not in the caller's
+        # insertion order. This snapshot has tied link weights where the
+        # tree extraction used to pick other (equally likely) edges for
+        # the two orders.
+        from repro.experiments.config import WorkloadConfig
+        from repro.experiments.workload import build_workload
+
+        client, _ = served
+        infected = build_workload(
+            WorkloadConfig(dataset="slashdot", scale=0.002), trial=1
+        ).infected
+        payload = client.detect(infected, raw=True)
+        assert canonical(payload["result"]) == canonical(repro.detect(infected).to_json())
+
     def test_decoded_result_matches_local_type(self, served, infected):
         client, _ = served
         result = client.detect(infected)

@@ -1,4 +1,8 @@
-"""Unit tests for the Chu-Liu/Edmonds arborescence machinery."""
+"""Unit tests for the Chu-Liu/Edmonds arborescence machinery.
+
+``TestMWSG`` and ``TestFindCircles`` cover the paper's Algorithm 2 and
+cycle detection as the level-by-level oracle implements them.
+"""
 
 import math
 
@@ -7,15 +11,14 @@ import pytest
 from repro.core.arborescence import (
     branching_likelihood,
     branching_roots,
-    find_circles,
     log_score,
     maximum_spanning_branching,
-    maximum_weight_spanning_graph,
     raw_score,
 )
 from repro.graphs.generators.trees import is_arborescence
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import NodeState
+from tests.oracles.edmonds_levels import find_circles, maximum_weight_spanning_graph
 
 
 def build(edges) -> SignedDiGraph:
