@@ -18,8 +18,15 @@ current directory). Run with:
 
     PYTHONPATH=src python benchmarks/bench_tree_dp.py
 
+It also checks RID's per-tree k scan: the greedy and exhaustive
+selections of :func:`repro.pipeline.stages.greedy_tree_selection`, whose
+kernel sweep is sized up front from the β-penalised count, must equal a
+plain budget-by-budget scan on a fresh kernel in every field, and each
+tree must be swept exactly once (the ``rid.tree_dp.sweeps`` counter).
+
 ``--tiny`` runs a seconds-scale smoke configuration meant for CI: full
-identity checks, no assertions about speed (CI boxes are noisy).
+identity checks, no assertions about speed (CI boxes are noisy). It
+needs no numpy.
 """
 
 from __future__ import annotations
@@ -30,8 +37,12 @@ import sys
 import time
 
 from repro.core.binarize import binarize_cascade_tree
+from repro.core.rid import RIDConfig
 from repro.core.tree_dp import KIsomitBTSolver
 from repro.graphs.generators.trees import random_general_tree
+from repro.kernel.tree_dp import TreeDPKernel
+from repro.obs import MetricsRecorder
+from repro.pipeline.stages import greedy_tree_selection
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
 
@@ -70,6 +81,56 @@ def check_identity(binary, cap, label: str) -> list:
             )
         if ker.initiators != ref.initiators:
             failures.append(f"{label} k={ref.k}: initiators differ from reference")
+    return failures
+
+
+#: Penalties the selection check scans with (the paper's 0.1 and larger).
+SELECTION_BETAS = (0.1, 0.5, 1.0)
+
+
+def plain_selection(config, binary):
+    """The per-tree k scan solving budget by budget on a fresh kernel
+    (no up-front sizing): ``(best result, its objective, k scanned)``."""
+    kernel = TreeDPKernel(binary)
+    max_k = binary.num_real
+    if config.max_k_per_tree is not None:
+        max_k = min(max_k, config.max_k_per_tree)
+    best, best_objective, scanned = None, float("-inf"), 0
+    for k in range(1, max_k + 1):
+        scanned += 1
+        result = kernel.solve(k)
+        objective = result.score - (k - 1) * config.beta
+        if objective > best_objective:
+            best, best_objective = result, objective
+        elif config.k_strategy == "greedy":
+            break
+    return best, best_objective, scanned
+
+
+def check_selections(tree, binary, max_k, label: str) -> list:
+    """Sized vs plain greedy/exhaustive selections, and one sweep per tree."""
+    failures = []
+    for strategy in ("greedy", "exhaustive"):
+        for beta in SELECTION_BETAS:
+            config = RIDConfig(
+                alpha=3.0, beta=beta, k_strategy=strategy, max_k_per_tree=max_k
+            )
+            case = f"{label} {strategy} beta={beta}"
+            recorder = MetricsRecorder()
+            sized = greedy_tree_selection(config, tree, recorder)
+            best, best_objective, scanned = plain_selection(config, binary)
+            if (
+                sized.k != best.k
+                or sized.score != best.score
+                or sized.penalized_objective != best_objective
+                or sized.initiators != best.initiators
+                or sized.scanned_k != scanned
+                or sized.tree_size != binary.num_real
+            ):
+                failures.append(f"{case}: selection differs from the plain k scan")
+            sweeps = recorder.metrics.counters.get("rid.tree_dp.sweeps")
+            if sweeps != 1:
+                failures.append(f"{case}: tree swept {sweeps} times, expected 1")
     return failures
 
 
@@ -121,12 +182,18 @@ def main(argv=None) -> int:
         }
 
         failures = check_identity(binary, cap, f"n={n}")
+        # Full-size trees scan under the curve cap: an uncapped
+        # exhaustive scan of a 10k-node tree is quadratic in its size.
+        failures += check_selections(tree, binary, None if args.tiny else cap, f"n={n}")
         if failures:
             for failure in failures:
                 print(f"IDENTITY FAILURE: {failure}", file=sys.stderr)
             failed = True
             continue
-        print(f"n={n}: identity OK (curve k=1..{cap} bit-identical)")
+        print(
+            f"n={n}: identity OK (curve k=1..{cap} bit-identical; sized greedy/"
+            "exhaustive selections equal the plain k scan, one sweep each)"
+        )
 
         if not args.tiny:
             reference_s = bench(lambda: reference_curve(binary, cap), args.repeats)

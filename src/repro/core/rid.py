@@ -71,8 +71,8 @@ class RIDConfig:
             (``'python'``, ``'numpy'``, ``'auto'``, or ``None`` for the
             ``REPRO_KERNEL_BACKEND`` environment default; see
             :mod:`repro.kernel.backends`). Both TreeDP backends are
-            bit-identical, but cached stage artifacts are still keyed by
-            the resolved backend.
+            bit-identical, so cached stage artifacts are shared across
+            backends (the stage key ignores this field).
     """
 
     alpha: float = 3.0

@@ -293,11 +293,35 @@ class KIsomitBTSolver:
             )
         return [self.solve(k) for k in range(1, k_max + 1)]
 
+    def penalized_count(self, beta: float) -> Optional[int]:
+        """The kernel's β-penalised initiator count (cap hint for RID's scan).
+
+        ``None`` on the recursive path, which keeps solving budget by
+        budget; see :meth:`repro.kernel.tree_dp.TreeDPKernel.penalized_count`.
+        """
+        if not self.use_kernel:
+            return None
+        return self._get_kernel().penalized_count(beta)
+
+    def reserve(self, k: int) -> None:
+        """Fill the kernel's tables for budgets up to ``k`` in one sweep.
+
+        A no-op on the recursive path (its memo fills lazily per budget).
+        """
+        if self.use_kernel:
+            self._get_kernel().reserve(k)
+
     def memo_size(self) -> int:
         """Solved DP states so far (table entries / memo entries)."""
         if self.use_kernel:
             return self._kernel.memo_states if self._kernel is not None else 0
         return len(self._memo)
+
+    def sweep_count(self) -> Optional[int]:
+        """k-indexed kernel sweeps so far (``None`` on the recursive path)."""
+        if not self.use_kernel:
+            return None
+        return self._kernel.sweeps if self._kernel is not None else 0
 
     def _reconstruct(self, k: int) -> Dict[Node, NodeState]:
         """Walk the memoised decisions to recover the chosen initiators."""

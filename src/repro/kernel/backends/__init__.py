@@ -33,9 +33,10 @@ bit-identical to ``simulate_many``; the numpy tier sweeps all trials as
 Selection order: an explicit ``backend=`` argument wins, else the
 ``REPRO_KERNEL_BACKEND`` environment variable, else ``python``. The
 value ``auto`` picks ``numpy`` when available. Cache keys split by
-tier: :func:`repro.runtime.cache.model_digest` and the ``tree_dp``
-pipeline stage fold the backend name in only when the resolved backend
-is not bit-identical, so the default path's keys are unchanged.
+tier: :func:`repro.runtime.cache.model_digest` folds the backend name
+in only when the resolved backend is not bit-identical, so the default
+path's keys are unchanged. The ``tree_dp`` pipeline stage's key ignores
+the backend: both TreeDP sweeps are bit-identical.
 
 See ``docs/algorithms.md`` §12 for the identity-contract tiers.
 """

@@ -27,9 +27,30 @@ post-order sweep (:class:`TreeDPKernel`), with three structural wins:
 * **one sweep, every budget.** The budget dimension is filled for all
   ``k ≤ cap`` in the same sweep, so :meth:`TreeDPKernel.solve_curve`
   returns the whole incremental k-search curve (what
-  ``detect_with_budget`` needs per tree) for the cost of one traversal;
-  :meth:`TreeDPKernel.solve` grows ``cap`` geometrically so RID's
-  incremental k search stays amortised-linear.
+  ``detect_with_budget`` needs per tree) for the cost of one traversal.
+
+**Sizing the sweep for RID's greedy k search.** The scan (Sec. III-E3)
+reads ``solve(1), solve(2), …`` and stops at the first ``k`` whose
+penalised objective ``OPT(k+1) − kβ`` fails to beat ``OPT(k) − (k−1)β``;
+its cost is the cap of the k-indexed sweep, so the cap must be known
+before the scan starts. :meth:`TreeDPKernel.penalized_count` gets it
+from one extra post-order sweep with *no* k axis: the same
+``[node][ancestor-depth]`` states and the same ``own + left + right`` /
+``1 + left[w] + right[w]`` recurrence, where each state carries
+``(objective − β·count, count)`` and ties go to the smaller count. That
+ordering is compatible with addition, so the root state is the
+penalised optimum with the fewest initiators: ``k_e``, the *first*
+global maximiser of ``OPT(k) − (k−1)β`` over ``k ≥ 1`` (an extra
+per-node state for "no initiator ancestor, at least one initiator below"
+keeps the count ≥ 1). The greedy scan stops at or before
+the first global maximum (``k_g ≤ k_e``) and reads budgets up to
+``k_g + 1``, so :meth:`TreeDPKernel.reserve` at ``min(max_k, k_e + 1)``
+covers the whole scan in one sweep in exact arithmetic. The hint only
+sizes the sweep, never decides a result: if float rounding near a tie
+ever under-sizes it, ``solve`` falls back to growing the cap
+geometrically from the hinted one (:meth:`TreeDPKernel._ensure`), and
+the results are the same tables either way. :attr:`TreeDPKernel.sweeps`
+counts the k-indexed sweeps so the fallback is observable.
 
 Bit-identity contract: same float expressions in the same order, same
 strict-improvement tie-breaking (not-an-initiator splits scanned in
@@ -225,10 +246,12 @@ class TreeDPKernel:
     One :meth:`_sweep` fills, for every position, a score/decision table
     indexed ``[budget][ancestor-depth]`` in a single post-order loop.
     Tables are shared across budgets: ``solve(k)`` for any ``k`` at or
-    below the swept cap is a table read plus reconstruction, and the cap
-    grows geometrically on demand, so incremental k searches
-    (``solve(1)``, ``solve(2)``, …) cost amortised one sweep at the
-    final cap.
+    below the swept cap is a table read plus reconstruction. Callers
+    that know the budgets they will read size the sweep up front with
+    :meth:`reserve` (RID's greedy scan gets its cap from
+    :meth:`penalized_count`); otherwise the cap grows geometrically on
+    demand, so incremental k searches (``solve(1)``, ``solve(2)``, …)
+    cost amortised one sweep at the final cap.
 
     Score rows live only while their parent is being filled (each node
     has one parent, so children drop immediately); decision rows are
@@ -237,7 +260,13 @@ class TreeDPKernel:
     Attributes:
         memo_states: table entries filled by the last sweep — the
             compiled analogue of the reference solver's memo size,
-            exported as the ``rid.tree_dp.memo_states`` gauge.
+            exported as the ``rid.tree_dp.memo_states`` gauge. With the
+            sweep sized once up front this is the exact state count of
+            the tree's one sweep (under geometric growth it counted only
+            the last of several).
+        sweeps: k-indexed sweeps run so far (exported as the
+            ``rid.tree_dp.sweeps`` counter); 1 per tree unless the
+            geometric fallback fired.
     """
 
     def __init__(self, tree, backend: Optional[str] = None) -> None:
@@ -249,11 +278,21 @@ class TreeDPKernel:
         self._dec: List[Optional[List[array]]] = []
         self._root_scores: List[float] = []
         self.memo_states = 0
+        self.sweeps = 0
         self._engine = _backends.resolve_backend(backend)
         #: resolved backend executing the sweeps (``python`` / ``numpy``).
         self.backend_name = self._engine.name
 
     # ------------------------------------------------------------------
+
+    def reserve(self, k: int) -> None:
+        """Fill the tables for every budget up to ``k`` in one sweep now.
+
+        A no-op when the swept cap already covers ``k``; ``k`` is clamped
+        to the tree's real-node count.
+        """
+        if k > self._cap:
+            self._sweep(min(k, self.tree.num_real))
 
     def _ensure(self, k: int) -> None:
         """Sweep up to budget ``k`` (geometric growth keeps re-sweeps amortised)."""
@@ -274,6 +313,7 @@ class TreeDPKernel:
         float expression's evaluation order), so sweeps are
         interchangeable mid-search.
         """
+        self.sweeps += 1
         if self._engine.name == "python":
             self._sweep_python(cap)
         else:
@@ -405,6 +445,87 @@ class TreeDPKernel:
         self._dec = dec
         self._cap = cap
         self.memo_states = states
+
+    def penalized_count(self, beta: float) -> int:
+        """Initiator count of the β-penalised optimum: the greedy scan's cap hint.
+
+        One post-order sweep with no budget axis over the same
+        ``[node][ancestor-depth]`` states as :meth:`_sweep_python`. Each
+        state holds the best ``(objective − β·count, count)`` over
+        initiator sets of the subtree, ties broken to the smaller count;
+        a node's row combines its children's rows with the budgeted
+        sweep's recurrence (``own + left + right`` when the node is not
+        an initiator, ``1 + left[w] + right[w]`` when it is). A second,
+        slot-0-only state per node keeps the best set with *at least
+        one* initiator, so the answer is the count at the root's
+        constrained optimum — the first maximiser of
+        ``OPT(k) − (k−1)β`` over ``k ≥ 1`` in exact arithmetic (0 for an
+        empty tree). Float sums here are not the budgeted sweep's, so
+        the count is a sizing hint only, never a result.
+
+        O(slots · depth) time; rows live only until the parent reads
+        them.
+        """
+        ct = self.tree
+        n = ct.size
+        if ct.num_real == 0:
+            return 0
+        left, right, depth = ct.left, ct.right, ct.depth
+        is_dummy, gpath = ct.is_dummy, ct.gpath
+        bonus = 1.0 - beta
+        # A missing child contributes (0.0, 0) at every anc slot; zip()
+        # truncates these shared rows to the reading row's width.
+        width = max(depth) + 2
+        zero_v = [0.0] * width
+        zero_c = [0] * width
+        vals: List[Optional[List[float]]] = [None] * n
+        counts: List[Optional[List[int]]] = [None] * n
+        # Best (value, count) with count >= 1 and no initiator ancestor.
+        some: List[Optional[tuple]] = [None] * n
+
+        for u in range(n):
+            l, r = left[u], right[u]
+            w = depth[u] + 1
+            if l >= 0:
+                Vl, Cl, Pl = vals[l], counts[l], some[l]
+                vals[l] = counts[l] = some[l] = None
+            else:
+                Vl, Cl, Pl = zero_v, zero_c, None
+            if r >= 0:
+                Vr, Cr, Pr = vals[r], counts[r], some[r]
+                vals[r] = counts[r] = some[r] = None
+            else:
+                Vr, Cr, Pr = zero_v, zero_c, None
+            if is_dummy[u]:
+                own = zero_v[:w]
+            else:
+                own = [0.0]
+                own.extend(gpath[u][: w - 1])  # strict-ancestor products
+            # u is not an initiator: children keep u's anc slot.
+            V = [o + a + b for o, a, b in zip(own, Vl, Vr)]
+            C = [a + b for _, a, b in zip(own, Cl, Cr)]
+            # Slot 0 with count >= 1: one child holds an initiator.
+            P = None
+            if Pl is not None:
+                P = (Pl[0] + Vr[0], Pl[1] + Cr[0])
+            if Pr is not None:
+                cand = (Vl[0] + Pr[0], Cl[0] + Pr[1])
+                if P is None or cand[0] > P[0] or (cand[0] == P[0] and cand[1] < P[1]):
+                    P = cand
+            if not is_dummy[u]:
+                # u is an initiator: the children's anc slot is u itself.
+                iv = bonus + Vl[w] + Vr[w]
+                ic = 1 + Cl[w] + Cr[w]
+                for a in range(w):
+                    v = V[a]
+                    if iv > v or (iv == v and ic < C[a]):
+                        V[a] = iv
+                        C[a] = ic
+                if P is None or iv > P[0] or (iv == P[0] and ic < P[1]):
+                    P = (iv, ic)
+            vals[u], counts[u], some[u] = V, C, P
+
+        return some[ct.root_pos][1]
 
     # ------------------------------------------------------------------
 

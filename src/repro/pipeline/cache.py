@@ -143,13 +143,19 @@ class ArtifactCache:
         self.total_cost -= self._cost.pop(evicted)
         self.evictions += 1
 
-    def discard(self, key: str) -> bool:
-        """Drop one entry (and retire its cost); True when it existed."""
+    def peek(self, key: str) -> Any:
+        """The cached artifact, or :data:`MISS`, without counting a hit or
+        a miss and without refreshing its LRU position."""
+        return self._entries.get(key, MISS)
+
+    def discard(self, key: str) -> Optional[int]:
+        """Drop one entry; returns the cost it retired (``None`` when absent)."""
         if key not in self._entries:
-            return False
+            return None
         del self._entries[key]
-        self.total_cost -= self._cost.pop(key)
-        return True
+        cost = self._cost.pop(key)
+        self.total_cost -= cost
+        return cost
 
     def clear(self) -> None:
         """Drop every entry (hit/miss counters are kept)."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from repro.detectors.base import DetectionResult
 from repro.errors import ConfigError, EmptyInfectionError
@@ -237,6 +237,41 @@ class DetectionEngine:
             rec.incr("rid.components", len(components))
             rec.incr("rid.trees", len(trees))
         return trees
+
+    def evict_components(
+        self,
+        config: Any,
+        retired: Iterable[str],
+        live_components: Sequence[SignedDiGraph],
+        live_trees: Sequence[SignedDiGraph],
+    ) -> None:
+        """Drop the in-process artifacts of components that no longer exist.
+
+        ``retired`` holds component content digests. Each one's
+        Arborescence tree list is read with
+        :meth:`~repro.pipeline.cache.ArtifactCache.peek` (no hit or miss
+        is counted) and discarded along with every tree's greedy and
+        curve TreeDP artifacts under ``config`` — except artifacts that
+        ``live_components`` / ``live_trees`` still resolve to. The
+        on-disk store is untouched.
+        """
+        ctx = StageContext(config=config, cache=self.cache)
+        live = {graph_digest(component) for component in live_components}
+        live_tree_digests = {graph_digest(tree) for tree in live_trees}
+        for digest in retired:
+            if digest in live:
+                continue
+            key = self.arborescence.cache_key(ctx, digest)
+            trees = self.cache.peek(key)
+            self.cache.discard(key)
+            if trees is MISS:
+                continue
+            for tree in trees:
+                tree_digest = graph_digest(tree)
+                if tree_digest in live_tree_digests:
+                    continue
+                for stage in (self.greedy_dp, self.curve_dp):
+                    self.cache.discard(stage.cache_key(ctx, tree_digest))
 
     # ------------------------------------------------------------------
     # Entry points

@@ -99,11 +99,38 @@ def _tree_cap(config: "Any", binary: "Any") -> int:
     return cap
 
 
-def _emit_memo_gauge(rec: Recorder, solver: "Any") -> None:
-    """DP memo-size gauge, feature-detected (stub solvers lack it)."""
+def _emit_dp_metrics(rec: Recorder, solver: "Any") -> None:
+    """DP memo-size gauge and sweep counter, feature-detected (stub
+    solvers lack them; the recursive solver runs no sweeps)."""
     memo_size = getattr(solver, "memo_size", None)
     if memo_size is not None:
         rec.gauge("rid.tree_dp.memo_states", memo_size())
+    sweep_count = getattr(solver, "sweep_count", None)
+    sweeps = sweep_count() if sweep_count is not None else None
+    if sweeps is not None:
+        rec.incr("rid.tree_dp.sweeps", sweeps)
+
+
+def _presize(config: "Any", solver: "Any", max_k: int) -> None:
+    """Size the kernel's k-indexed sweep once, before the scan reads it.
+
+    The greedy scan stops at or before ``k_e``, the first maximiser of
+    ``OPT(k) − (k−1)β``, and reads budgets up to its stop point plus
+    one — so ``min(max_k, k_e + 1)`` budgets cover it. The exhaustive
+    scan reads every budget up to ``max_k``. The hint only sizes the
+    sweep: a scan that reads past it (float rounding near a tie) grows
+    the cap geometrically as before, over the same tables. Feature-
+    detected: DP stubs and the recursive solver keep the per-k path.
+    """
+    reserve = getattr(solver, "reserve", None)
+    if reserve is None:
+        return
+    if config.k_strategy == "exhaustive":
+        reserve(max_k)
+        return
+    k_e = solver.penalized_count(config.beta)
+    if k_e is not None:
+        reserve(min(max_k, max(1, k_e + 1)))
 
 
 def _make_solver(rid_module: "Any", binary: "Any", config: "Any") -> "Any":
@@ -129,7 +156,8 @@ def greedy_tree_selection(
 
     Bit-identical to the pre-refactor ``RID.select_initiators_for_tree``:
     same scan order, same early-stop-on-non-improvement rule, same spans
-    and counters.
+    and counters. The kernel's sweep is sized once up front
+    (:func:`_presize`), so each tree is swept once.
     """
     import repro.core.rid as rid_module
 
@@ -147,6 +175,7 @@ def greedy_tree_selection(
         compiled=bool(getattr(solver, "use_kernel", False)),
         backend=getattr(solver, "backend_name", "python"),
     ):
+        _presize(config, solver, max_k)
         for k in range(1, max_k + 1):
             scanned += 1
             result = solver.solve(k)
@@ -160,7 +189,7 @@ def greedy_tree_selection(
     if rec.enabled:
         rec.gauge("rid.tree_nodes", binary.num_real)
         rec.incr("rid.k_iterations", scanned)
-        _emit_memo_gauge(rec, solver)
+        _emit_dp_metrics(rec, solver)
     assert best is not None  # max_k >= 1 guarantees one iteration
     return rid_module.TreeSelection(
         tree_size=binary.num_real,
@@ -199,7 +228,7 @@ def tree_curve(
     if rec.enabled:
         rec.gauge("rid.tree_nodes", binary.num_real)
         rec.incr("rid.k_iterations", cap)
-        _emit_memo_gauge(rec, solver)
+        _emit_dp_metrics(rec, solver)
     return CurveArtifact(tree_size=binary.num_real, results=per_k)
 
 
@@ -282,10 +311,9 @@ class TreeDPStage(Stage):
     artifacts computed by the recursive pre-kernel code).
 
     Version 3: the kernel sweep is backend-dispatched
-    (:mod:`repro.kernel.backends`) and the *resolved* backend name is
-    folded into the config digest, so artifacts computed by different
-    backends never share a key even though both sweeps are
-    bit-identical — conservative, and it keeps cache forensics honest.
+    (:mod:`repro.kernel.backends`). Both TreeDP sweeps are bit-identical,
+    so the key ignores the backend and every backend shares one
+    artifact per tree.
     """
 
     persist = True
@@ -298,15 +326,7 @@ class TreeDPStage(Stage):
         self.name = f"tree_dp[{mode}]"
 
     def config_digest(self, config: "Any") -> str:
-        from repro.kernel.backends import resolve_backend
-
-        backend = resolve_backend(getattr(config, "backend", None)).name
-        common = (
-            config.alpha,
-            config.inconsistent_value,
-            config.max_k_per_tree,
-            backend,
-        )
+        common = (config.alpha, config.inconsistent_value, config.max_k_per_tree)
         if self.mode == "greedy":
             return stable_digest(self.name, *common, config.beta, config.k_strategy)
         return stable_digest(self.name, *common)

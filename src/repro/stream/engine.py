@@ -28,6 +28,18 @@ object's ``version`` counter is unchanged) and therefore to
 ``ArtifactCache`` hits, so Arborescence/Binarize/TreeDP re-run only for
 dirty components and only the final Selection merge is global.
 
+**Bounded artifact cache.** When the engine owns its cache (neither
+``engine=`` nor ``cache=`` was passed), a delta's *replaced* components
+— those whose surviving nodes live on in a re-discovered piece — have
+their Arborescence and TreeDP artifacts evicted after the next
+:meth:`StreamingDetectionEngine.detect`, except any artifact that detect
+still used; their shapes are gone from the partition. Components that
+merely *vanished* (every node recovered or removed) keep their artifacts,
+so churn that restores them hits the cache. Eviction reads the old tree
+lists without counting hits, so ``stream.reused_artifacts`` and
+``stream.computed_artifacts`` are unaffected. A shared engine or cache
+is never evicted from.
+
 **Identity guarantee.** After every applied delta, :meth:`detect` is
 bit-identical to a cold ``DetectionEngine`` run on
 :meth:`materialise`'s snapshot: the partition equals the cold
@@ -60,6 +72,7 @@ from repro.graphs.signed_digraph import EdgeData, SignedDiGraph
 from repro.obs.recorder import Recorder, resolve_recorder, using_recorder
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.engine import DetectionEngine, EngineOutcome
+from repro.runtime.cache import graph_digest
 from repro.runtime.config import RuntimeConfig
 from repro.stream.delta import SnapshotDelta, apply_delta
 from repro.types import Node
@@ -159,7 +172,9 @@ class StreamingDetectionEngine:
             share the same delta plumbing and replay reporting.
         engine: the staged pipeline to detect with; a private
             :class:`DetectionEngine` with a roomy artifact cache by
-            default. Pass a shared engine to pool artifacts.
+            default, from which replaced components' artifacts are
+            evicted (see the module docstring). Pass a shared engine to
+            pool artifacts; it is never evicted from.
         cache: shorthand for ``engine=DetectionEngine(cache=cache)``.
         runtime: default execution configuration for :meth:`detect`.
         copy: set False to adopt (and mutate) ``graph`` in place.
@@ -194,6 +209,9 @@ class StreamingDetectionEngine:
             self.detector = resolve_detector(detector)
         self.config = config if config is not None else RIDConfig()
         self.config.validate()
+        # Evict replaced components' artifacts only from a private cache.
+        self._evicts = engine is None and cache is None and self.detector is None
+        self._retired: Set[str] = set()
         if engine is None:
             engine = DetectionEngine(
                 cache=cache if cache is not None else ArtifactCache(max_entries=4096)
@@ -368,14 +386,21 @@ class StreamingDetectionEngine:
             # Pop absorbed components *before* registering pieces: a
             # node keeps its fresh assignment even when an absorbed
             # component also claimed it.
+            old = []
             for cid in absorbed:
-                for node in self._comp_nodes.pop(cid):
+                nodes = self._comp_nodes.pop(cid)
+                for node in nodes:
                     if self._comp_of.get(node) == cid:
                         del self._comp_of[node]
-                del self._comp_sub[cid]
+                old.append((nodes, self._comp_sub.pop(cid)))
                 del self._comp_key[cid]
             for piece in pieces:
                 self._register(piece)
+            if self._evicts:
+                # Replaced, not vanished: some old node lives on in a piece.
+                for nodes, sub in old:
+                    if any(node in self._comp_of for node in nodes):
+                        self._retired.add(graph_digest(sub))
         if rec.enabled:
             rec.incr("stream.deltas")
             rec.incr("stream.delta.nodes", len(touched))
@@ -417,11 +442,12 @@ class StreamingDetectionEngine:
             )
         cache = self.engine.cache
         hits_before, misses_before = cache.hits, cache.misses
+        components = self.components()
         with using_recorder(rec):
             with rec.span("stream.detect", components=len(self._comp_nodes)):
                 outcome = self.engine.detect_components(
                     self.config,
-                    self.components(),
+                    components,
                     budget=budget,
                     label=label,
                     recorder=rec,
@@ -429,6 +455,11 @@ class StreamingDetectionEngine:
                 )
         reused = cache.hits - hits_before
         computed = cache.misses - misses_before
+        if self._retired:
+            self.engine.evict_components(
+                self.config, self._retired, components, outcome.result.trees
+            )
+            self._retired.clear()
         if rec.enabled:
             rec.incr("stream.reused_artifacts", reused)
             rec.incr("stream.computed_artifacts", computed)

@@ -6,13 +6,25 @@ floats, same ``initiators`` dicts, for every feasible budget. Brute
 force certifies optimality too, but only approximately — its objective
 sums per-node terms in a different order, so last-bit ULP differences
 are expected there.
+
+RID's greedy k scan sizes the kernel's sweep from the β-penalised count
+(:meth:`~repro.kernel.tree_dp.TreeDPKernel.penalized_count`); the hinted
+selection must equal a plain budget-by-budget scan bit for bit, whatever
+the hint says.
 """
 
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.core.rid as rid_module
 from repro.core.binarize import binarize_cascade_tree
+from repro.core.rid import RIDConfig
 from repro.core.tree_dp import KIsomitBTSolver, brute_force_k_isomit
+from repro.kernel.tree_dp import TreeDPKernel
+from repro.obs import MetricsRecorder
+from repro.pipeline.stages import greedy_tree_selection
 from repro.graphs.generators.trees import random_general_tree, star_graph
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import NodeState
@@ -101,3 +113,88 @@ class TestKernelEdgeCases:
         assert binary.size() > binary.num_real  # dummies present
         for k in range(0, binary.num_real + 1):
             self._identical(binary, k)
+
+
+def _plain_scan(config, binary):
+    """RID's per-tree k scan on a fresh kernel, solving budget by budget
+    (no cap hint: the kernel grows its sweep geometrically)."""
+    kernel = TreeDPKernel(binary)
+    max_k = binary.num_real
+    if config.max_k_per_tree is not None:
+        max_k = min(max_k, config.max_k_per_tree)
+    best, best_objective, scanned = None, float("-inf"), 0
+    for k in range(1, max_k + 1):
+        scanned += 1
+        result = kernel.solve(k)
+        objective = result.score - (k - 1) * config.beta
+        if objective > best_objective:
+            best, best_objective = result, objective
+        elif config.k_strategy == "greedy":
+            break
+    return best, best_objective, scanned
+
+
+class TestPenalizedCapHint:
+    """The greedy scan's sweep is sized by ``penalized_count``; the hint
+    may decide how much is swept, never what is selected."""
+
+    @given(
+        stated_trees(),
+        st.sampled_from([0.0, 0.1, 1.0, 2.0]),
+        st.sampled_from(["greedy", "exhaustive"]),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+        st.sampled_from(["zero", "one", "true", "num_real"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_hinted_selection_equals_plain_scan(
+        self, world, beta, strategy, max_k, forced
+    ):
+        tree, alpha = world
+        config = RIDConfig(
+            alpha=alpha, beta=beta, k_strategy=strategy, max_k_per_tree=max_k
+        )
+        binary = binarize_cascade_tree(tree, alpha=alpha)
+        true_hint = TreeDPKernel(binary).penalized_count(beta)
+        hint = {
+            "zero": 0, "one": 1, "true": true_hint, "num_real": binary.num_real
+        }[forced]
+
+        class ForcedHintSolver(KIsomitBTSolver):
+            def penalized_count(self, beta):
+                return hint
+
+        recorder = MetricsRecorder()
+        with mock.patch.object(rid_module, "KIsomitBTSolver", ForcedHintSolver):
+            selection = greedy_tree_selection(config, tree, recorder)
+        best, best_objective, scanned = _plain_scan(config, binary)
+        assert selection.tree_size == binary.num_real
+        assert selection.k == best.k
+        assert selection.score == best.score  # bitwise, no tolerance
+        assert selection.penalized_objective == best_objective
+        assert selection.initiators == best.initiators
+        assert selection.scanned_k == scanned
+        sweeps = recorder.metrics.counters["rid.tree_dp.sweeps"]
+        if strategy == "exhaustive" or forced == "num_real":
+            assert sweeps == 1
+
+    @given(stated_trees(), st.floats(min_value=0.0, max_value=3.0))
+    @settings(max_examples=120, deadline=None)
+    def test_penalized_count_is_first_argmax_of_curve(self, world, beta):
+        tree, alpha = world
+        binary = binarize_cascade_tree(tree, alpha=alpha)
+        curve = KIsomitBTSolver(binary).solve_curve(binary.num_real)
+        objectives = [r.score - (r.k - 1) * beta for r in curve]
+        best = max(objectives)
+        # Tie-free weights only: the count is a float-summed hint, so a
+        # runner-up within rounding distance may legitimately win.
+        runner_up = sorted(objectives)[-2] if len(objectives) > 1 else None
+        assume(runner_up is None or best - runner_up > 1e-9)
+        first = objectives.index(best) + 1
+        assert TreeDPKernel(binary).penalized_count(beta) == first
+
+    def test_lone_root_count_is_one_under_any_penalty(self):
+        tree = SignedDiGraph()
+        tree.add_node(0, NodeState.POSITIVE)
+        kernel = TreeDPKernel(binarize_cascade_tree(tree, alpha=3.0))
+        # At least one initiator per tree, however large the penalty.
+        assert [kernel.penalized_count(beta) for beta in (0.0, 1.0, 5.0)] == [1, 1, 1]
