@@ -2,8 +2,9 @@
 """Benchmark the CSR cascade kernel against the reference simulator.
 
 For each graph size, runs the same MFC cascade workload through the
-reference dict-of-dict simulator (``use_kernel=False``) and the
-CSR-compiled kernel (``use_kernel=True``), verifies the two are
+reference dict-of-dict simulator (the test oracle
+``tests/oracles/cascade_loops.py``) and the CSR-compiled kernel behind
+:class:`~repro.diffusion.mfc.MFCModel`, verifies the two are
 bit-identical (same events, final states, rounds — they consume the
 RNG in the same order), and reports cascades/sec and ns/attempt for
 both paths. Results are written as JSON (default ``BENCH_kernel.json``
@@ -11,7 +12,9 @@ in the current directory).
 
 Run with:
 
-    PYTHONPATH=src python benchmarks/bench_kernel.py
+    PYTHONPATH=src:. python benchmarks/bench_kernel.py
+
+(the repo root on the path makes the ``tests.oracles`` package importable).
 
 ``--tiny`` runs a seconds-scale smoke configuration meant for CI: it
 checks bit-identity on every cascade and exits non-zero on any
@@ -33,6 +36,7 @@ from repro.kernel.cascade import run_mfc_compiled
 from repro.kernel.compile import compile_graph
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
+from tests.oracles.cascade_loops import ReferenceMFCModel
 
 
 class CountingRandom(random.Random):
@@ -84,8 +88,8 @@ def bench_size(
         node: (NodeState.POSITIVE if i % 3 else NodeState.NEGATIVE)
         for i, node in enumerate(sorted(spawn_rng(seed, "bench-seeds").sample(range(n), 10)))
     }
-    reference = MFCModel(alpha=alpha, use_kernel=False)
-    kernel = MFCModel(alpha=alpha, use_kernel=True)
+    reference = ReferenceMFCModel(alpha=alpha)
+    kernel = MFCModel(alpha=alpha)
 
     compile_start = time.perf_counter()
     compiled = compile_graph(graph)

@@ -7,7 +7,7 @@ then:
 
 1. **identity** — asserts the engine (serial, ``workers=4`` parallel,
    and cache-warm) is bit-identical to the frozen pre-refactor
-   implementation in :mod:`repro.core.rid_reference`, in both β mode
+   implementation in ``tests/oracles/rid_reference.py``, in both β mode
    and budget mode, exiting non-zero on any mismatch;
 2. **timing** — measures a single β-mode detection and a budget sweep.
    The sweep is the headline: the reference recomputes every tree's
@@ -18,7 +18,9 @@ then:
 Results are written as JSON (default ``BENCH_pipeline.json`` in the
 current directory). Run with:
 
-    PYTHONPATH=src python benchmarks/bench_pipeline.py
+    PYTHONPATH=src:. python benchmarks/bench_pipeline.py
+
+(the repo root on the path makes the ``tests.oracles`` package importable).
 
 ``--tiny`` runs a seconds-scale smoke configuration meant for CI: full
 identity checks, no assertions about speed (CI boxes are noisy).
@@ -32,14 +34,14 @@ import sys
 import time
 
 from repro.core.rid import RID, RIDConfig
-from repro.core.rid_reference import (
-    reference_detect,
-    reference_detect_with_budget,
-)
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.runtime.config import RuntimeConfig
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
+from tests.oracles.rid_reference import (
+    reference_detect,
+    reference_detect_with_budget,
+)
 
 
 def build_snapshot(components: int, size: int, seed: int) -> SignedDiGraph:

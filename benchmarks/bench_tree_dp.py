@@ -7,7 +7,8 @@ sweep (``k = 1..cap``) two ways:
 
 1. **identity** — asserts the compiled kernel's whole curve (``score``
    and ``initiators`` per budget) is **bit-identical** to the recursive
-   dict-memo solver, exiting non-zero on any mismatch;
+   dict-memo solver (the test oracle ``tests/oracles/tree_dp_memo.py``),
+   exiting non-zero on any mismatch;
 2. **timing** — compares the recursive solver's incremental sweep
    (shared memo across budgets) against the kernel's single-sweep
    ``solve_curve``. The n=2000 configuration is the gated headline: the
@@ -16,7 +17,9 @@ sweep (``k = 1..cap``) two ways:
 Results are written as JSON (default ``BENCH_tree_dp.json`` in the
 current directory). Run with:
 
-    PYTHONPATH=src python benchmarks/bench_tree_dp.py
+    PYTHONPATH=src:. python benchmarks/bench_tree_dp.py
+
+(the repo root on the path makes the ``tests.oracles`` package importable).
 
 It also checks RID's per-tree k scan: the greedy and exhaustive
 selections of :func:`repro.pipeline.stages.greedy_tree_selection`, whose
@@ -45,6 +48,7 @@ from repro.obs import MetricsRecorder
 from repro.pipeline.stages import greedy_tree_selection
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
+from tests.oracles.tree_dp_memo import RecursiveKIsomitBTSolver
 
 
 def build_tree(n: int, seed: int):
@@ -60,7 +64,7 @@ def build_tree(n: int, seed: int):
 
 def reference_curve(binary, cap):
     """The recursive solver's incremental budget sweep (shared memo)."""
-    solver = KIsomitBTSolver(binary, use_kernel=False)
+    solver = RecursiveKIsomitBTSolver(binary)
     return [solver.solve(k) for k in range(1, cap + 1)]
 
 

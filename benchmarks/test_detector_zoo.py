@@ -12,7 +12,7 @@ detect at most one initiator per component by construction.
 """
 
 from benchmarks.conftest import BENCH_SEED
-from repro.core.baselines import RIDPositiveDetector, RIDTreeDetector
+from repro.detectors.baselines import RIDPositiveDetector, RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.reporting import format_table, save_json

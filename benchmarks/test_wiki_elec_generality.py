@@ -13,7 +13,7 @@ trade. A negative but informative generality result.
 """
 
 from benchmarks.conftest import BENCH_SEED
-from repro.core.baselines import RIDTreeDetector
+from repro.detectors.baselines import RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.reporting import format_table, save_json

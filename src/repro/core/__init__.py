@@ -15,8 +15,7 @@ Pipeline stages (Sec. III-E), each its own module:
 6. :mod:`~repro.core.rid` — β-penalised model selection tying it all
    together (Sec. III-E3);
 7. :mod:`repro.detectors` — the detector protocol and the paper's
-   comparison methods RID-Tree and RID-Positive (re-exported here; the
-   old :mod:`repro.core.baselines` location remains as a shim);
+   comparison methods RID-Tree and RID-Positive (re-exported here);
 8. :mod:`~repro.core.likelihood` — the MFC likelihood machinery
    (Sec. III-B) shared by the DP and by exact brute-force solvers;
 9. :mod:`~repro.core.exact` — exhaustive ISOMIT solvers certifying the

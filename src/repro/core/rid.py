@@ -21,16 +21,16 @@ content-addressed across calls. :class:`RID` is the detector-protocol
 wrapper — each instance owns one engine (and therefore one artifact
 cache), so repeated detections on the same instance (budget sweeps,
 robustness re-runs) skip work already done. The pre-refactor sequential
-implementation is preserved verbatim in :mod:`repro.core.rid_reference`
-and pinned bit-identical by the pipeline-identity gate.
+implementation is preserved verbatim as a test oracle
+(``tests/oracles/rid_reference.py``) and pinned bit-identical by the
+pipeline-identity gate.
 
 ``binarize_cascade_tree`` and ``KIsomitBTSolver`` are re-exported here
 and looked up dynamically by the pipeline stages — monkeypatching them
 on this module (as the DP stub tests do) affects every entry point.
-``KIsomitBTSolver`` defaults to the compiled flat-array TreeDP kernel
-(:mod:`repro.kernel.tree_dp`, bit-identical to the recursive program;
-``use_kernel=False`` opts out), so every RID entry point runs the
-iterative, recursion-free DP by default.
+``KIsomitBTSolver`` is the compiled flat-array TreeDP kernel
+(:mod:`repro.kernel.tree_dp`), so every RID entry point runs the
+iterative, recursion-free DP.
 """
 
 from __future__ import annotations

@@ -28,34 +28,24 @@ Dummy nodes from the binarisation are transparent: they contribute
 nothing to the objective, cannot be initiators, and their incoming edge
 has ``g = 1``.
 
-Execution paths: by default :class:`KIsomitBTSolver` delegates to the
-compiled flat-array kernel (:mod:`repro.kernel.tree_dp`) — an iterative
-post-order sweep with no recursion and no dict memo, bit-identical to
-the recursive program below (``use_kernel=False`` keeps the original
-recursive solver, which the identity tests and ``rid_reference`` use as
-the oracle). The recursive path runs within CPython's default recursion
-limit — it no longer mutates the process-wide limit — so it is only
-suitable for the shallow trees the test oracle exercises; deep
-(path-like) cascade trees go through the kernel.
-
-:func:`brute_force_k_isomit` provides an exhaustive reference solver
-used by the test suite to certify DP optimality on small trees, with both
-the nearest-ancestor scoring (must match the DP exactly) and the full
-noisy-or scoring (for measuring the collapse's approximation error).
+The program runs on the compiled flat-array kernel of
+:mod:`repro.kernel.tree_dp` — an iterative post-order sweep with no
+recursion and no dict memo, safe on deep (path-like) cascade trees.
+:class:`KIsomitBTSolver` is that kernel under the name the RID pipeline
+looks up (``repro.core.rid.KIsomitBTSolver``, the seam tests
+monkeypatch to stub the DP). The recursive dict-memo reading of the
+recursion, and an exhaustive brute-force solver certifying its
+optimality, are kept as test oracles (``tests/oracles/tree_dp_memo.py``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from repro.core.binarize import BinaryCascadeTree
-from repro.errors import DynamicProgramError
 from repro.kernel.tree_dp import TreeDPKernel
 from repro.types import Node, NodeState
-
-_NEG_INF = float("-inf")
 
 
 @dataclass
@@ -75,351 +65,12 @@ class TreeDPResult:
     initiators: Dict[Node, NodeState]
 
 
-class KIsomitBTSolver:
-    """Memoised solver over one :class:`BinaryCascadeTree`.
-
-    The memo is shared across calls with different ``k``, so RID's
-    incremental k-search pays each subproblem once.
-
-    Args:
-        tree: the binarised cascade tree to solve over.
-        use_kernel: with the default ``True``, ``solve``/``solve_curve``
-            run on the compiled flat-array kernel
-            (:class:`repro.kernel.tree_dp.TreeDPKernel`) — iterative,
-            recursion-free, bit-identical results. ``False`` keeps the
-            original recursive dict-memo program (the identity oracle);
-            that path needs CPython stack frames proportional to tree
-            depth and is only safe on shallow trees.
-        backend: kernel execution backend (``'python'``, ``'numpy'``,
-            ``'auto'``; see :mod:`repro.kernel.backends`). ``None``
-            defers to the ``REPRO_KERNEL_BACKEND`` environment default.
-            Both TreeDP backends are bit-identical (the sweep consumes
-            no randomness and preserves float-expression order); only
-            kernel runs honour it (``use_kernel=False`` is inherently
-            the interpreted path).
-    """
-
-    def __init__(
-        self,
-        tree: BinaryCascadeTree,
-        use_kernel: bool = True,
-        backend: Optional[str] = None,
-    ) -> None:
-        self.tree = tree
-        self.use_kernel = use_kernel
-        self._backend = backend
-        self._kernel: Optional[TreeDPKernel] = None
-        # Number of real (initiator-eligible) nodes in each slot's subtree,
-        # used to clamp budget splits: a subtree of real size s can never
-        # absorb more than s initiators.
-        self._real_size: Dict[int, int] = {}
-        self._compute_real_sizes()
-        # memo[(uid, k, anc)] = (score, is_initiator, left_budget)
-        self._memo: Dict[Tuple[Optional[int], int, Optional[int]], Tuple[float, bool, int]] = {}
-        # _gprod[(anc, uid)] = g-product along the path (anc, uid]
-        self._gprod: Dict[Tuple[int, int], float] = {}
-
-    def _compute_real_sizes(self) -> None:
-        """Post-order pass filling :attr:`_real_size`."""
-        order: List[int] = []
-        stack = [self.tree.root] if self.tree.nodes else []
-        while stack:
-            uid = stack.pop()
-            order.append(uid)
-            for child in self.tree.children(uid):
-                if child is not None:
-                    stack.append(child)
-        for uid in reversed(order):
-            node = self.tree.node(uid)
-            size = 0 if node.is_dummy else 1
-            for child in self.tree.children(uid):
-                if child is not None:
-                    size += self._real_size[child]
-            self._real_size[uid] = size
-
-    def _capacity(self, uid: Optional[int]) -> int:
-        """Max initiators the subtree rooted at ``uid`` can hold."""
-        return 0 if uid is None else self._real_size[uid]
-
-    # ------------------------------------------------------------------
-    # Path products
-    # ------------------------------------------------------------------
-
-    def path_product(self, anc: int, uid: int) -> float:
-        """``Π g`` along the tree path from ``anc`` (exclusive) to ``uid``.
-
-        Iterative: walks the parent chain up to ``anc`` (or the first
-        cached prefix), then multiplies back down top-to-bottom — the
-        exact order the old recursive version used, filling the same
-        cache entries with bit-identical values.
-        """
-        if anc == uid:
-            return 1.0
-        cached = self._gprod.get((anc, uid))
-        if cached is not None:
-            return cached
-        chain: List[int] = []  # uids whose products are still unknown, bottom-up
-        cur = uid
-        while True:
-            parent = self.tree.node(cur).parent
-            if parent is None:
-                raise DynamicProgramError(
-                    f"{anc} is not an ancestor of {uid} in the binarised tree"
-                )
-            chain.append(cur)
-            if parent == anc:
-                value = 1.0
-                break
-            cached = self._gprod.get((anc, parent))
-            if cached is not None:
-                value = cached
-                break
-            cur = parent
-        for cuid in reversed(chain):
-            value = value * self.tree.node(cuid).g_in
-            self._gprod[(anc, cuid)] = value
-        return value
-
-    def node_probability(self, uid: int, anc: Optional[int]) -> float:
-        """``P(u, s(u) | I, S)`` under the nearest-ancestor collapse."""
-        if self.tree.node(uid).is_dummy:
-            return 0.0
-        if anc is None:
-            return 0.0
-        return self.path_product(anc, uid)
-
-    # ------------------------------------------------------------------
-    # Dynamic program
-    # ------------------------------------------------------------------
-
-    def _solve(self, uid: Optional[int], k: int, anc: Optional[int]) -> float:
-        """Best achievable subtree score with exactly ``k`` initiators."""
-        if uid is None:
-            return 0.0 if k == 0 else _NEG_INF
-        key = (uid, k, anc)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached[0]
-
-        node = self.tree.node(uid)
-        left, right = node.left, node.right
-        left_cap, right_cap = self._capacity(left), self._capacity(right)
-
-        best_score = _NEG_INF
-        best_is_initiator = False
-        best_left_budget = 0
-
-        # Case 1: u is not an initiator; split k between the children.
-        # The split range is clamped by each child's capacity — a subtree
-        # with s real nodes cannot host more than s initiators.
-        own = self.node_probability(uid, anc)
-        for m in range(max(0, k - right_cap), min(k, left_cap) + 1):
-            left_score = self._solve(left, m, anc)
-            if left_score == _NEG_INF:
-                continue
-            right_score = self._solve(right, k - m, anc)
-            if right_score == _NEG_INF:
-                continue
-            score = own + left_score + right_score
-            if score > best_score:
-                best_score, best_is_initiator, best_left_budget = score, False, m
-
-        # Cases 2-3: u is an initiator (real nodes only). Hypothesising the
-        # observed state scores 1 and dominates the mismatched hypothesis
-        # (score 0, identical subtrees), so only the dominant branch is
-        # explored; the inferred state is the observed one.
-        if k >= 1 and not node.is_dummy:
-            remaining = k - 1
-            for m in range(max(0, remaining - right_cap), min(remaining, left_cap) + 1):
-                left_score = self._solve(left, m, uid)
-                if left_score == _NEG_INF:
-                    continue
-                right_score = self._solve(right, remaining - m, uid)
-                if right_score == _NEG_INF:
-                    continue
-                score = 1.0 + left_score + right_score
-                if score > best_score:
-                    best_score, best_is_initiator, best_left_budget = score, True, m
-
-        self._memo[key] = (best_score, best_is_initiator, best_left_budget)
-        return best_score
-
-    def _get_kernel(self) -> TreeDPKernel:
-        """Lazily compile the tree (so path-product-only users skip it)."""
-        if self._kernel is None:
-            self._kernel = TreeDPKernel(self.tree, backend=self._backend)
-        return self._kernel
-
-    @property
-    def backend_name(self) -> str:
-        """The resolved backend name the kernel path runs on."""
-        if not self.use_kernel:
-            return "python"
-        return self._get_kernel().backend_name
-
-    def solve(self, k: int) -> TreeDPResult:
-        """Optimal placement of exactly ``k`` initiators in the tree.
-
-        Raises:
-            DynamicProgramError: when ``k`` is out of ``[0, num_real]``.
-        """
-        if self.use_kernel:
-            return self._get_kernel().solve(k)
-        if k < 0 or k > self.tree.num_real:
-            raise DynamicProgramError(
-                f"k must be in [0, {self.tree.num_real}], got {k}"
-            )
-        score = self._solve(self.tree.root, k, None)
-        if score == _NEG_INF:
-            raise DynamicProgramError(f"no feasible placement of {k} initiators")
-        initiators = self._reconstruct(k)
-        return TreeDPResult(k=k, score=score, initiators=initiators)
-
-    def solve_curve(self, k_max: int) -> List[TreeDPResult]:
-        """The incremental curve ``[solve(1), …, solve(k_max)]``.
-
-        On the kernel path the whole curve comes out of a single
-        post-order sweep (the memo is shared across budgets); the
-        recursive path just loops, sharing its dict memo the same way.
-
-        Raises:
-            DynamicProgramError: when ``k_max`` is out of ``[0, num_real]``.
-        """
-        if self.use_kernel:
-            return self._get_kernel().solve_curve(k_max)
-        if k_max < 0 or k_max > self.tree.num_real:
-            raise DynamicProgramError(
-                f"k must be in [0, {self.tree.num_real}], got {k_max}"
-            )
-        return [self.solve(k) for k in range(1, k_max + 1)]
-
-    def penalized_count(self, beta: float) -> Optional[int]:
-        """The kernel's β-penalised initiator count (cap hint for RID's scan).
-
-        ``None`` on the recursive path, which keeps solving budget by
-        budget; see :meth:`repro.kernel.tree_dp.TreeDPKernel.penalized_count`.
-        """
-        if not self.use_kernel:
-            return None
-        return self._get_kernel().penalized_count(beta)
-
-    def reserve(self, k: int) -> None:
-        """Fill the kernel's tables for budgets up to ``k`` in one sweep.
-
-        A no-op on the recursive path (its memo fills lazily per budget).
-        """
-        if self.use_kernel:
-            self._get_kernel().reserve(k)
-
-    def memo_size(self) -> int:
-        """Solved DP states so far (table entries / memo entries)."""
-        if self.use_kernel:
-            return self._kernel.memo_states if self._kernel is not None else 0
-        return len(self._memo)
-
-    def sweep_count(self) -> Optional[int]:
-        """k-indexed kernel sweeps so far (``None`` on the recursive path)."""
-        if not self.use_kernel:
-            return None
-        return self._kernel.sweeps if self._kernel is not None else 0
-
-    def _reconstruct(self, k: int) -> Dict[Node, NodeState]:
-        """Walk the memoised decisions to recover the chosen initiators."""
-        chosen: Dict[Node, NodeState] = {}
-        stack: List[Tuple[Optional[int], int, Optional[int]]] = [
-            (self.tree.root, k, None)
-        ]
-        while stack:
-            uid, budget, anc = stack.pop()
-            if uid is None:
-                continue
-            entry = self._memo.get((uid, budget, anc))
-            if entry is None:  # pragma: no cover - solve() fills the memo
-                raise DynamicProgramError("reconstruction reached an unsolved state")
-            _, is_initiator, left_budget = entry
-            node = self.tree.node(uid)
-            if is_initiator:
-                chosen[node.original] = node.state
-                stack.append((node.left, left_budget, uid))
-                stack.append((node.right, budget - 1 - left_budget, uid))
-            else:
-                stack.append((node.left, left_budget, anc))
-                stack.append((node.right, budget - left_budget, anc))
-        return chosen
+#: The per-tree DP solver: ``KIsomitBTSolver(tree, backend=None)``, with
+#: ``solve(k)``, ``solve_curve(k_max)`` and the sweep-sizing
+#: ``penalized_count(beta)`` / ``reserve(k)``.
+KIsomitBTSolver = TreeDPKernel
 
 
 def solve_k_isomit_bt(tree: BinaryCascadeTree, k: int) -> TreeDPResult:
     """One-shot convenience wrapper around :class:`KIsomitBTSolver`."""
     return KIsomitBTSolver(tree).solve(k)
-
-
-# --------------------------------------------------------------------------
-# Exhaustive reference solver (tests / ablations)
-# --------------------------------------------------------------------------
-
-
-def _ancestors_of(tree: BinaryCascadeTree, uid: int) -> List[int]:
-    """Strict ancestors of a slot, nearest first."""
-    out = []
-    node = tree.node(uid)
-    while node.parent is not None:
-        out.append(node.parent)
-        node = tree.node(node.parent)
-    return out
-
-
-def brute_force_k_isomit(
-    tree: BinaryCascadeTree,
-    k: int,
-    scoring: str = "nearest",
-) -> TreeDPResult:
-    """Exhaustive search over all size-``k`` initiator subsets.
-
-    Args:
-        tree: the binarised cascade tree.
-        k: exact number of initiators to place.
-        scoring: ``'nearest'`` scores nodes by the nearest initiator
-            ancestor's path product (the DP's objective — results must
-            match the DP); ``'noisy_or'`` combines *all* initiator
-            ancestors via the paper's noisy-or (the exact Sec. III-B
-            probability on trees).
-
-    Raises:
-        DynamicProgramError: for out-of-range ``k`` or unknown scoring.
-    """
-    if scoring not in ("nearest", "noisy_or"):
-        raise DynamicProgramError(f"unknown scoring {scoring!r}")
-    real_uids = [n.uid for n in tree.nodes if not n.is_dummy]
-    if k < 0 or k > len(real_uids):
-        raise DynamicProgramError(f"k must be in [0, {len(real_uids)}], got {k}")
-    # Only path_product is needed — skip compiling a kernel for it. Both
-    # helpers (`_ancestors_of`, `path_product`) are iterative, so the
-    # oracle itself survives deep trees.
-    helper = KIsomitBTSolver(tree, use_kernel=False)
-
-    best_score = _NEG_INF
-    best_set: Tuple[int, ...] = ()
-    for subset in itertools.combinations(sorted(real_uids), k):
-        chosen = set(subset)
-        score = 0.0
-        for uid in real_uids:
-            if uid in chosen:
-                score += 1.0
-                continue
-            ancestor_inits = [a for a in _ancestors_of(tree, uid) if a in chosen]
-            if not ancestor_inits:
-                continue
-            if scoring == "nearest":
-                score += helper.path_product(ancestor_inits[0], uid)
-            else:
-                failure = 1.0
-                for anc in ancestor_inits:
-                    failure *= 1.0 - helper.path_product(anc, uid)
-                score += 1.0 - failure
-        if score > best_score:
-            best_score, best_set = score, subset
-
-    initiators = {
-        tree.node(uid).original: tree.node(uid).state for uid in best_set
-    }
-    return TreeDPResult(k=k, score=best_score, initiators=initiators)

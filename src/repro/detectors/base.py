@@ -40,6 +40,20 @@ if TYPE_CHECKING:  # imported lazily at runtime: repro.runtime's package
     from repro.runtime.config import RuntimeConfig
 
 
+def reject_removed_budget_spelling(call: str, name: str, value: object) -> None:
+    """Reject a budget keyword spelling removed after its deprecation cycle.
+
+    Raises:
+        ConfigError: when ``value`` is set, naming ``budget=`` as the
+            replacement so stale call sites fail with a pointed message.
+    """
+    if value is not None:
+        raise ConfigError(
+            f"{call}({name}=...) was removed after its deprecation "
+            f"cycle; pass budget={value!r} instead"
+        )
+
+
 def resolve_budget_kwargs(
     budget: Optional[int],
     k: Optional[int] = None,
@@ -60,12 +74,8 @@ def resolve_budget_kwargs(
         ConfigError: when no budget is given, or a removed legacy
             spelling (``k=``/``max_k=``) is used.
     """
-    for name, value in (("k", k), ("max_k", max_k)):
-        if value is not None:
-            raise ConfigError(
-                f"{method}({name}=...) was removed after its deprecation "
-                f"cycle; pass budget={value!r} instead"
-            )
+    reject_removed_budget_spelling(method, "k", k)
+    reject_removed_budget_spelling(method, "max_k", max_k)
     if budget is None:
         raise ConfigError(f"{method}() needs an initiator budget (budget=...)")
     return budget

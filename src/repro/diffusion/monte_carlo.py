@@ -116,7 +116,7 @@ def simulate_many_outcome(
             base_seed,
         )
         key_fn = lambda trial: stable_digest(world, trial)  # noqa: E731
-    if getattr(model, "use_kernel", False):
+    if hasattr(model, "run_compiled"):
         # Kernel-capable model: compile once in the parent and ship the
         # flat CSR form to workers instead of the dict-of-dict graph.
         fn = _simulate_trial_compiled
@@ -158,12 +158,12 @@ def simulate_many(
 def _batchable(model: DiffusionModel) -> bool:
     """Can ``model`` run through the batched kernel tier?
 
-    Only the two kernel-capable cascade models qualify, and only when
-    their kernel path is enabled; anything else (SIR, ``use_kernel=False``
-    opts-out, third-party models) takes the per-trial fallback.
+    Only the two kernel cascade models qualify: named ``mfc`` / ``ic``
+    and with a ``run_compiled``. Anything else (SIR, third-party models,
+    dict-loop simulators) takes the per-trial fallback.
     """
-    return getattr(model, "name", None) in ("mfc", "ic") and bool(
-        getattr(model, "use_kernel", False)
+    return getattr(model, "name", None) in ("mfc", "ic") and hasattr(
+        model, "run_compiled"
     )
 
 

@@ -7,7 +7,7 @@ candidates of a centrality score over the infected subgraph and, being
 sign-blind, serve as extra baselines in the ablation benches.
 """
 
-from repro.extensions.centrality_detectors import (
+from repro.detectors.centrality import (
     CentralityDetector,
     DistanceCenterDetector,
     JordanCenterDetector,

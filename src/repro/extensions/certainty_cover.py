@@ -18,10 +18,13 @@ are graded it under-explains and RID's probabilistic machinery wins.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, FrozenSet, Optional, Set
 
-from repro.detectors.base import DetectionResult, Detector
+from repro.detectors.base import (
+    DetectionResult,
+    Detector,
+    reject_removed_budget_spelling,
+)
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.obs.recorder import Recorder, resolve_recorder
 from repro.types import Node, NodeState
@@ -68,8 +71,8 @@ class CertaintyCoverDetector(Detector):
             until every infected node is explained — uncovered residual
             nodes each become their own initiator, exactly as in the
             reduction's exchange argument). The historical
-            ``max_initiators`` spelling still works but emits
-            :class:`DeprecationWarning`.
+            ``max_initiators`` spelling was removed and raises
+            :class:`~repro.errors.ConfigError`.
     """
 
     name = "certainty-cover"
@@ -80,21 +83,11 @@ class CertaintyCoverDetector(Detector):
         budget: Optional[int] = None,
         max_initiators: Optional[int] = None,
     ) -> None:
-        if max_initiators is not None:
-            warnings.warn(
-                "CertaintyCoverDetector(max_initiators=...) is deprecated; "
-                "pass budget=... instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            budget = max_initiators
+        reject_removed_budget_spelling(
+            "CertaintyCoverDetector", "max_initiators", max_initiators
+        )
         self.alpha = alpha
         self.budget = budget
-
-    @property
-    def max_initiators(self) -> Optional[int]:
-        """Deprecated alias of :attr:`budget` (kept for old readers)."""
-        return self.budget
 
     def detect(
         self, infected: SignedDiGraph, recorder: Optional[Recorder] = None

@@ -18,10 +18,13 @@ unsigned state of the art" comparison point for RID.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Set
 
-from repro.detectors.base import DetectionResult, Detector
+from repro.detectors.base import (
+    DetectionResult,
+    Detector,
+    reject_removed_budget_spelling,
+)
 from repro.core.components import infected_components
 from repro.diffusion.ic import ICModel
 from repro.errors import InvalidModelParameterError
@@ -36,8 +39,8 @@ class KEffectorsDetector(Detector):
 
     Args:
         budget: effectors budget per connected component (the unified
-            keyword; the historical ``k_per_component`` spelling still
-            works but emits :class:`DeprecationWarning`).
+            keyword; the historical ``k_per_component`` spelling was
+            removed and raises :class:`~repro.errors.ConfigError`).
         trials: Monte-Carlo samples per candidate evaluation.
         candidate_limit: evaluate at most this many candidates per
             component (highest out-degree first) to bound the cubic
@@ -60,14 +63,9 @@ class KEffectorsDetector(Detector):
         k_per_component: Optional[int] = None,
         runtime=None,
     ) -> None:
-        if k_per_component is not None:
-            warnings.warn(
-                "KEffectorsDetector(k_per_component=...) is deprecated; "
-                "pass budget=... instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            budget = k_per_component
+        reject_removed_budget_spelling(
+            "KEffectorsDetector", "k_per_component", k_per_component
+        )
         if budget < 1:
             raise InvalidModelParameterError(
                 f"budget must be >= 1, got {budget}"
@@ -80,11 +78,6 @@ class KEffectorsDetector(Detector):
         self.seed = seed
         self.runtime = runtime
         self._ic = ICModel(propagate_signs=False)
-
-    @property
-    def k_per_component(self) -> int:
-        """Deprecated alias of :attr:`budget` (kept for old readers)."""
-        return self.budget
 
     # ------------------------------------------------------------------
 

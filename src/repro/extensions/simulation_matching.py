@@ -13,10 +13,13 @@ small snapshots and as a reference point in ablations.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional
 
-from repro.detectors.base import DetectionResult, Detector
+from repro.detectors.base import (
+    DetectionResult,
+    Detector,
+    reject_removed_budget_spelling,
+)
 from repro.core.components import infected_components
 from repro.diffusion.mfc import MFCModel
 from repro.errors import InvalidModelParameterError
@@ -33,8 +36,8 @@ class SimulationMatchingDetector(Detector):
         alpha: MFC boosting coefficient for the forward simulations.
         trials: Monte-Carlo samples per candidate evaluation.
         budget: growth budget per component (the unified keyword; the
-            historical ``max_initiators_per_component`` spelling still
-            works but emits :class:`DeprecationWarning`).
+            historical ``max_initiators_per_component`` spelling was
+            removed and raises :class:`~repro.errors.ConfigError`).
         candidate_limit: shortlist size per component (by out-degree).
         improvement_threshold: minimum match-score gain to accept one
             more initiator (the stopping rule).
@@ -58,14 +61,11 @@ class SimulationMatchingDetector(Detector):
         max_initiators_per_component: Optional[int] = None,
         runtime=None,
     ) -> None:
-        if max_initiators_per_component is not None:
-            warnings.warn(
-                "SimulationMatchingDetector(max_initiators_per_component=...) "
-                "is deprecated; pass budget=... instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            budget = max_initiators_per_component
+        reject_removed_budget_spelling(
+            "SimulationMatchingDetector",
+            "max_initiators_per_component",
+            max_initiators_per_component,
+        )
         if trials < 1:
             raise InvalidModelParameterError(f"trials must be >= 1, got {trials}")
         if budget < 1:
@@ -77,11 +77,6 @@ class SimulationMatchingDetector(Detector):
         self.improvement_threshold = improvement_threshold
         self.seed = seed
         self.runtime = runtime
-
-    @property
-    def max_initiators(self) -> int:
-        """Deprecated alias of :attr:`budget` (kept for old readers)."""
-        return self.budget
 
     # ------------------------------------------------------------------
 

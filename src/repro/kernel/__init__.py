@@ -1,24 +1,24 @@
 """CSR-compiled cascade kernel.
 
-The reference simulators in :mod:`repro.diffusion` walk the
-dict-of-dict :class:`~repro.graphs.signed_digraph.SignedDiGraph`
-directly: every frontier visit re-sorts the successor list by ``repr``,
-every attempt does two dict-chain lookups (sign, weight) plus a
-``(u, v)`` tuple-set membership test for the one-attempt-per-pair rule.
-That is the per-attempt cost every Monte-Carlo pipeline in the library
-pays thousands of times over.
+A plain reading of the cascade models walks the dict-of-dict
+:class:`~repro.graphs.signed_digraph.SignedDiGraph` directly: every
+frontier visit re-sorts the successor list by ``repr``, every attempt
+does two dict-chain lookups (sign, weight) plus a ``(u, v)`` tuple-set
+membership test for the one-attempt-per-pair rule. That is the
+per-attempt cost every Monte-Carlo pipeline in the library would pay
+thousands of times over.
 
 This package compiles a graph once into a flat int-indexed CSR form
 (:func:`compile_graph` → :class:`CompiledGraph`) — contiguous stdlib
-arrays of successor offsets, targets pre-sorted in the reference visit
+arrays of successor offsets, targets pre-sorted in ``repr`` visit
 order, signs, weights, and per-α attempt probabilities — and runs the
 cascade over those arrays (:func:`run_mfc_compiled`,
 :func:`run_ic_compiled`). Node states live in a ``bytearray``; the
 attempted-pair set becomes a per-edge byte flag, because an ordered
-pair *is* a CSR edge slot. The RNG is consumed in exactly the reference
-draw order, so results are **bit-identical**: same events, same final
-states, same round count (pinned by
-``tests/property/test_kernel_identity.py``).
+pair *is* a CSR edge slot. The RNG is consumed in exactly the dict
+loop's draw order, so results are **bit-identical** to it: same events,
+same final states, same round count (pinned against the dict-loop
+oracle by ``tests/property/test_kernel_identity.py``).
 
 Compiled forms are cached per graph instance, keyed on the graph's
 cheap :attr:`~repro.graphs.signed_digraph.SignedDiGraph.structure_version`
@@ -29,9 +29,8 @@ The same playbook applies to detection's per-tree hot path:
 :mod:`repro.kernel.tree_dp` compiles a binarised cascade tree into flat
 post-order arrays (:func:`compile_binary_tree` →
 :class:`CompiledBinaryTree`) and runs the Sec. III-D k-ISOMIT-BT
-dynamic program as a single iterative sweep
-(:class:`TreeDPKernel` / :func:`solve_k_isomit_bt_compiled`),
-bit-identical to the recursive reference solver.
+dynamic program as a single iterative sweep (:class:`TreeDPKernel`),
+bit-identical to the recursive dict-memo reading of the recursion.
 
 *How* the compiled arrays are swept is selectable:
 :mod:`repro.kernel.backends` dispatches between the interpreted
@@ -62,8 +61,6 @@ from repro.kernel.tree_dp import (
     CompiledBinaryTree,
     TreeDPKernel,
     compile_binary_tree,
-    solve_curve_compiled,
-    solve_k_isomit_bt_compiled,
 )
 
 __all__ = [
@@ -78,8 +75,6 @@ __all__ = [
     "CompiledBinaryTree",
     "TreeDPKernel",
     "compile_binary_tree",
-    "solve_curve_compiled",
-    "solve_k_isomit_bt_compiled",
     "available_backends",
     "default_backend_name",
     "numpy_available",

@@ -6,8 +6,8 @@ package makes it a selectable one:
 
 * ``python`` — the interpreted loops that shipped with the kernels.
   **Bit-identical tier**: same RNG stream, same event order, same floats
-  as the reference simulators/solver. This is the default; every
-  existing identity gate pins it.
+  as the dict-loop simulators and recursive solver kept as test
+  oracles. This is the default; every existing identity gate pins it.
 * ``numpy`` — frontier-batched vectorized cascade rounds and per-level
   vectorized TreeDP sweeps (:mod:`repro.kernel.backends.numpy_backend`).
   **Statistical-identity tier** for cascades: batching necessarily

@@ -1,22 +1,26 @@
 """Flat-array MFC and IC cascade fast paths.
 
-Both functions replay the corresponding reference simulator
-(:class:`repro.diffusion.mfc.MFCModel` / :class:`repro.diffusion.ic.ICModel`
-with ``use_kernel=False``) instruction-for-instruction where it matters:
+These are the production MFC (paper Algorithm 1) and IC simulators;
+:class:`repro.diffusion.mfc.MFCModel` and :class:`repro.diffusion.ic.ICModel`
+run on them. Both replay the plain dict-loop reading of the algorithms —
+a per-round frontier walk over the dict-of-dict graph with a tuple set
+of attempted ``(u, v)`` pairs, kept as the test oracle in
+``tests/oracles/cascade_loops.py`` — instruction-for-instruction where
+it matters:
 
 * node visit order — seeds, per-round frontiers, and each node's
   successor row are walked in ascending node index, which equals the
-  reference's ``repr``-sorted order by construction of
+  dict loop's ``repr``-sorted order by construction of
   :class:`~repro.kernel.compile.CompiledGraph`;
 * the one-attempt-per-ordered-pair rule — a byte flag per CSR edge slot
-  stands in for the reference's ``(u, v)`` tuple set, flipped exactly
-  when the reference would have inserted the tuple (i.e. only when an
+  stands in for the dict loop's ``(u, v)`` tuple set, flipped exactly
+  when the loop would have inserted the tuple (i.e. only when an
   attempt actually rolls the RNG);
 * RNG consumption — ``random.random()`` is called once per attempted
   slot in the identical sequence, so given the same
   :class:`random.Random` the event log, final states and round count
-  are **bit-identical** to the reference, and the caller's generator is
-  left in the identical post-run state.
+  are **bit-identical** to the dict loop's, and the caller's generator
+  is left in the identical post-run state.
 
 Node states are bytes: ``0`` inactive, ``1`` state ``+1``, ``2`` state
 ``-1``. The MFC update ``s(v) = s(u)·s_D(u,v)`` becomes "copy on a
@@ -91,10 +95,10 @@ def _materialise(
     log: List[Tuple[int, int, int, int, bool]],
     rounds: int,
 ) -> DiffusionResult:
-    """Decode the int event log into the reference result structure.
+    """Decode the int event log into a :class:`DiffusionResult`.
 
     ``final_states`` is built seed-first then in first-activation order,
-    reproducing the reference's dict insertion order exactly (flips
+    reproducing the dict loop's insertion order exactly (flips
     re-assign and therefore keep the original position, as in a plain
     dict update).
     """
@@ -124,7 +128,7 @@ def _finalise(
     Used when the caller disabled event recording
     (``record_events=False``). ``final_states`` compares equal to the
     recorded run's dict (dict equality ignores insertion order, which
-    here is node-index order rather than the reference's activation
+    here is node-index order rather than the dict loop's activation
     order); ``events`` is empty by contract.
     """
     nodes = compiled.nodes
@@ -171,7 +175,7 @@ def _mfc_cascade(
         for u in frontier:
             s_u = states[u]
             if s_u == 0:
-                # Mirrors the reference's defensive guard; states on the
+                # Mirrors the dict loop's defensive guard; states on the
                 # frontier are always active in practice.
                 continue
             for slot in range(indptr[u], indptr[u + 1]):
@@ -356,9 +360,8 @@ def run_mfc_compiled(
     """MFC (paper Algorithm 1) over the CSR arrays.
 
     ``validated`` must already have passed seed validation (the model
-    wrappers call :func:`check_seeds_compiled` or the reference
-    ``check_seeds`` first, preserving the reference's validate-then-
-    spawn-RNG order).
+    wrappers call :func:`check_seeds_compiled` first, preserving the
+    validate-then-spawn-RNG order).
 
     ``backend`` picks the execution backend (see
     :mod:`repro.kernel.backends`); ``None`` defers to the

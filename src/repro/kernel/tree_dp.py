@@ -1,10 +1,12 @@
 """Compiled flat-array kernel for the k-ISOMIT-BT dynamic program.
 
-The reference solver in :mod:`repro.core.tree_dp` is a recursive,
-dict-memoised program: every subproblem lookup hashes a ``(uid, k, anc)``
-tuple, every ``g``-path product walks parent pointers through Python
-call frames, and deep (path-like) cascade trees used to force a
-process-wide recursion-limit bump that was never restored. The
+This is the library's one k-ISOMIT-BT engine; the RID pipeline reaches
+it as :class:`repro.core.tree_dp.KIsomitBTSolver`. Read directly, the
+Sec. III-D recursion is a recursive, dict-memoised program (kept as the
+test oracle in ``tests/oracles/tree_dp_memo.py``): every subproblem
+lookup hashes a ``(uid, k, anc)`` tuple, every ``g``-path product walks
+parent pointers through Python call frames, and deep (path-like)
+cascade trees need stack frames proportional to their depth. The
 arithmetic itself is tiny — the overhead is all interpreter
 bookkeeping.
 
@@ -22,8 +24,8 @@ post-order sweep (:class:`TreeDPKernel`), with three structural wins:
   ``Π g`` along the tree path from the depth-``a`` ancestor (exclusive)
   down to ``u`` — is computed in one root-to-leaf pass
   (``gpath[u] = gpath[parent] * g_in(u)``, then append the self-product
-  ``1.0``), in exactly the reference ``path_product`` multiplication
-  order, so every float is bit-identical.
+  ``1.0``), in exactly the recursive oracle's ``path_product``
+  multiplication order, so every float is bit-identical.
 * **one sweep, every budget.** The budget dimension is filled for all
   ``k ≤ cap`` in the same sweep, so :meth:`TreeDPKernel.solve_curve`
   returns the whole incremental k-search curve (what
@@ -55,7 +57,7 @@ counts the k-indexed sweeps so the fallback is observable.
 Bit-identity contract: same float expressions in the same order, same
 strict-improvement tie-breaking (not-an-initiator splits scanned in
 ascending ``m`` first, then initiator splits), same reconstruction
-traversal — the kernel's ``TreeDPResult`` equals the reference solver's
+traversal — the kernel's ``TreeDPResult`` equals the recursive oracle's
 (score *and* initiators) bit for bit. ``tests/property/
 test_tree_dp_kernel_identity.py`` and the ``bench_tree_dp.py --tiny``
 CI gate pin this.
@@ -63,7 +65,7 @@ CI gate pin this.
 One deliberate asymmetry: the initiator case of the recurrence does not
 depend on the ancestor argument (the children's nearest initiator is
 ``u`` itself), so the kernel evaluates it once per ``(u, k)`` and
-broadcasts, where the reference recomputes the identical floats per
+broadcasts, where the recursive oracle recomputes the identical floats per
 memo entry. Values and decisions are unchanged; work is not.
 """
 
@@ -217,8 +219,8 @@ class CompiledBinaryTree:
         # Depths and ancestor-path g-products, one root-to-leaf pass
         # (reversed post-order visits every parent before its children).
         # Row recurrence gpath[p] = [x * g for x in gpath[parent]] + [1.0]
-        # multiplies top-down exactly like the reference path_product,
-        # so every product is bit-identical to the recursive solver's.
+        # multiplies top-down exactly like the recursive oracle's
+        # path_product, so every product is bit-identical to it.
         depth = [0] * n
         gpath: List[array] = [None] * n  # type: ignore[list-item]
         for pos in range(n - 1, -1, -1):
@@ -241,7 +243,16 @@ def compile_binary_tree(tree) -> CompiledBinaryTree:
 
 
 class TreeDPKernel:
-    """Iterative k-ISOMIT-BT solver over a :class:`CompiledBinaryTree`.
+    """Iterative k-ISOMIT-BT solver over one binarised cascade tree.
+
+    Also importable as :class:`repro.core.tree_dp.KIsomitBTSolver`.
+    ``tree`` may be a :class:`~repro.core.binarize.BinaryCascadeTree` or
+    a :class:`CompiledBinaryTree`; a binarised tree is compiled on first
+    use, so construction is cheap and compilation is paid (and timed)
+    with the first solve. ``backend`` picks the sweep engine
+    (``'python'``, ``'numpy'``, ``'auto'``; see
+    :mod:`repro.kernel.backends`; ``None`` defers to the
+    ``REPRO_KERNEL_BACKEND`` default). Both sweeps are bit-identical.
 
     One :meth:`_sweep` fills, for every position, a score/decision table
     indexed ``[budget][ancestor-depth]`` in a single post-order loop.
@@ -259,7 +270,7 @@ class TreeDPKernel:
 
     Attributes:
         memo_states: table entries filled by the last sweep — the
-            compiled analogue of the reference solver's memo size,
+            compiled analogue of a dict-memo solver's memo size,
             exported as the ``rid.tree_dp.memo_states`` gauge. With the
             sweep sized once up front this is the exact state count of
             the tree's one sweep (under geometric growth it counted only
@@ -270,10 +281,7 @@ class TreeDPKernel:
     """
 
     def __init__(self, tree, backend: Optional[str] = None) -> None:
-        if isinstance(tree, CompiledBinaryTree):
-            self.tree = tree
-        else:
-            self.tree = compile_binary_tree(tree)
+        self._tree = tree
         self._cap = -1
         self._dec: List[Optional[List[array]]] = []
         self._root_scores: List[float] = []
@@ -282,6 +290,13 @@ class TreeDPKernel:
         self._engine = _backends.resolve_backend(backend)
         #: resolved backend executing the sweeps (``python`` / ``numpy``).
         self.backend_name = self._engine.name
+
+    @property
+    def tree(self) -> CompiledBinaryTree:
+        """The compiled tree the sweeps read (compiled on first access)."""
+        if not isinstance(self._tree, CompiledBinaryTree):
+            self._tree = compile_binary_tree(self._tree)
+        return self._tree
 
     # ------------------------------------------------------------------
 
@@ -358,7 +373,7 @@ class TreeDPKernel:
 
             for k in range(kcap + 1):
                 # Case 1: u is not an initiator; split k over the children
-                # (ascending m, strict improvement — the reference order).
+                # (ascending m, strict improvement — the recursion's order).
                 lo = k - rcap
                 if lo < 0:
                     lo = 0
@@ -559,7 +574,7 @@ class TreeDPKernel:
     def _reconstruct(self, k: int) -> Dict[Node, NodeState]:
         """Walk the decision tables to recover the chosen initiators.
 
-        Mirrors the reference reconstruction stack order; subtrees with
+        Mirrors the recursive oracle's reconstruction stack order; subtrees with
         zero remaining budget are pruned outright (every decision there
         is trivially "no initiator, empty split").
         """
@@ -584,16 +599,6 @@ class TreeDPKernel:
                 stack.append((left[u], m, a))
                 stack.append((right[u], budget - m, a))
         return chosen
-
-
-def solve_k_isomit_bt_compiled(tree, k: int) -> "TreeDPResult":
-    """One-shot compiled solve; ``tree`` may be binarised or pre-compiled."""
-    return TreeDPKernel(tree).solve(k)
-
-
-def solve_curve_compiled(tree, k_max: int) -> List["TreeDPResult"]:
-    """One-shot compiled curve solve over budgets ``1..k_max``."""
-    return TreeDPKernel(tree).solve_curve(k_max)
 
 
 # Bottom import, matching repro.kernel.cascade (no cycle: the backends

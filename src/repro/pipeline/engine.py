@@ -11,7 +11,8 @@ independent work units by construction (Sec. III-E1), so the engine fans
 them out through :func:`repro.runtime.executor.run_trials` when the
 caller passes a ``RuntimeConfig(workers > 1)``. Results are
 **bit-identical** to serial execution (and to the pre-refactor
-sequential implementation preserved in :mod:`repro.core.rid_reference`):
+sequential implementation kept as the test oracle
+``tests/oracles/rid_reference.py``):
 work units carry no shared state and the engine reassembles outputs in
 input order.
 

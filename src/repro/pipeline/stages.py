@@ -100,15 +100,11 @@ def _tree_cap(config: "Any", binary: "Any") -> int:
 
 
 def _emit_dp_metrics(rec: Recorder, solver: "Any") -> None:
-    """DP memo-size gauge and sweep counter, feature-detected (stub
-    solvers lack them; the recursive solver runs no sweeps)."""
-    memo_size = getattr(solver, "memo_size", None)
-    if memo_size is not None:
-        rec.gauge("rid.tree_dp.memo_states", memo_size())
-    sweep_count = getattr(solver, "sweep_count", None)
-    sweeps = sweep_count() if sweep_count is not None else None
-    if sweeps is not None:
-        rec.incr("rid.tree_dp.sweeps", sweeps)
+    """DP state-count gauge and sweep counter (DP stubs lack both)."""
+    states = getattr(solver, "memo_states", None)
+    if states is not None:
+        rec.gauge("rid.tree_dp.memo_states", states)
+        rec.incr("rid.tree_dp.sweeps", solver.sweeps)
 
 
 def _presize(config: "Any", solver: "Any", max_k: int) -> None:
@@ -119,8 +115,8 @@ def _presize(config: "Any", solver: "Any", max_k: int) -> None:
     one — so ``min(max_k, k_e + 1)`` budgets cover it. The exhaustive
     scan reads every budget up to ``max_k``. The hint only sizes the
     sweep: a scan that reads past it (float rounding near a tie) grows
-    the cap geometrically as before, over the same tables. Feature-
-    detected: DP stubs and the recursive solver keep the per-k path.
+    the cap geometrically as before, over the same tables. DP stubs
+    without ``reserve`` keep the per-k path.
     """
     reserve = getattr(solver, "reserve", None)
     if reserve is None:
@@ -128,25 +124,19 @@ def _presize(config: "Any", solver: "Any", max_k: int) -> None:
     if config.k_strategy == "exhaustive":
         reserve(max_k)
         return
-    k_e = solver.penalized_count(config.beta)
-    if k_e is not None:
-        reserve(min(max_k, max(1, k_e + 1)))
+    reserve(min(max_k, max(1, solver.penalized_count(config.beta) + 1)))
 
 
 def _make_solver(rid_module: "Any", binary: "Any", config: "Any") -> "Any":
     """Build the per-tree DP solver through the ``rid_module`` seam.
 
-    The config's ``backend`` is forwarded when the (possibly
-    monkeypatched) solver class accepts it; minimal DP stubs predate the
-    keyword and are constructed the old way.
+    A configured ``backend`` is forwarded; with none set the solver is
+    built from the tree alone, which is all a DP stub accepts.
     """
     backend = getattr(config, "backend", None)
-    if backend is not None:
-        try:
-            return rid_module.KIsomitBTSolver(binary, backend=backend)
-        except TypeError:
-            pass
-    return rid_module.KIsomitBTSolver(binary)
+    if backend is None:
+        return rid_module.KIsomitBTSolver(binary)
+    return rid_module.KIsomitBTSolver(binary, backend=backend)
 
 
 def greedy_tree_selection(
@@ -172,7 +162,6 @@ def greedy_tree_selection(
     with rec.span(
         "rid.tree_dp",
         tree_nodes=binary.num_real,
-        compiled=bool(getattr(solver, "use_kernel", False)),
         backend=getattr(solver, "backend_name", "python"),
     ):
         _presize(config, solver, max_k)
@@ -211,14 +200,13 @@ def tree_curve(
     binary = binarize_tree(config, tree, rec)
     solver = _make_solver(rid_module, binary, config)
     cap = _tree_cap(config, binary)
-    # The compiled solver produces the whole incremental curve from one
-    # post-order sweep; fall back to a per-k loop for solvers without
-    # solve_curve (the DP stub tests monkeypatch minimal solvers in).
+    # The solver produces the whole incremental curve from one post-order
+    # sweep; fall back to a per-k loop for solvers without solve_curve
+    # (the DP stub tests monkeypatch minimal solvers in).
     solve_curve = getattr(solver, "solve_curve", None)
     with rec.span(
         "rid.tree_dp",
         tree_nodes=binary.num_real,
-        compiled=bool(getattr(solver, "use_kernel", False)),
         backend=getattr(solver, "backend_name", "python"),
     ):
         if solve_curve is not None:
@@ -306,7 +294,7 @@ class TreeDPStage(Stage):
     curve key deliberately excludes ``budget``, so one k-search sweep
     computes each tree's curve exactly once.
 
-    Version 2: the DP runs on the compiled flat-array kernel by default
+    Version 2: the DP runs on the compiled flat-array kernel
     (bit-identical output, but the bump keeps cache keys disjoint from
     artifacts computed by the recursive pre-kernel code).
 

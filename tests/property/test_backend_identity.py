@@ -230,7 +230,7 @@ class TestTreeDPBitIdentity:
         vectorized = KIsomitBTSolver(binary, backend="numpy")
         reference.solve_curve(binary.num_real)
         vectorized.solve_curve(binary.num_real)
-        assert vectorized.memo_size() == reference.memo_size()
+        assert vectorized.memo_states == reference.memo_states
 
 
 class TestSpreadDistribution:

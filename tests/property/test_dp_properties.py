@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.binarize import binarize_cascade_tree
-from repro.core.tree_dp import KIsomitBTSolver, brute_force_k_isomit
+from repro.core.tree_dp import KIsomitBTSolver
 from repro.graphs.generators.trees import random_general_tree
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
+from tests.oracles.tree_dp_memo import brute_force_k_isomit
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Compiled TreeDP kernel ≡ recursive solver ≡ brute force.
 
 The compiled flat-array kernel (:mod:`repro.kernel.tree_dp`) promises
-**bit-identity** with the recursive dict-memo solver: same ``score``
+**bit-identity** with the recursive dict-memo solver
+(``tests/oracles/tree_dp_memo.py``): same ``score``
 floats, same ``initiators`` dicts, for every feasible budget. Brute
 force certifies optimality too, but only approximately — its objective
 sums per-node terms in a different order, so last-bit ULP differences
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import repro.core.rid as rid_module
 from repro.core.binarize import binarize_cascade_tree
 from repro.core.rid import RIDConfig
-from repro.core.tree_dp import KIsomitBTSolver, brute_force_k_isomit
+from repro.core.tree_dp import KIsomitBTSolver
 from repro.kernel.tree_dp import TreeDPKernel
 from repro.obs import MetricsRecorder
 from repro.pipeline.stages import greedy_tree_selection
@@ -29,6 +30,7 @@ from repro.graphs.generators.trees import random_general_tree, star_graph
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
+from tests.oracles.tree_dp_memo import RecursiveKIsomitBTSolver, brute_force_k_isomit
 
 
 @st.composite
@@ -53,7 +55,7 @@ class TestKernelIdentity:
     def test_kernel_bit_identical_to_recursive_all_k(self, world):
         tree, alpha = world
         binary = binarize_cascade_tree(tree, alpha=alpha)
-        reference = KIsomitBTSolver(binary, use_kernel=False)
+        reference = RecursiveKIsomitBTSolver(binary)
         compiled = KIsomitBTSolver(binary)
         # Every feasible budget, including k=0 and k=num_real.
         for k in range(0, binary.num_real + 1):
@@ -68,7 +70,7 @@ class TestKernelIdentity:
     def test_curve_matches_per_k_solves(self, world):
         tree, alpha = world
         binary = binarize_cascade_tree(tree, alpha=alpha)
-        reference = KIsomitBTSolver(binary, use_kernel=False)
+        reference = RecursiveKIsomitBTSolver(binary)
         curve = KIsomitBTSolver(binary).solve_curve(binary.num_real)
         assert len(curve) == binary.num_real
         for k, result in enumerate(curve, start=1):
@@ -91,7 +93,7 @@ class TestKernelIdentity:
 
 class TestKernelEdgeCases:
     def _identical(self, binary, k):
-        ref = KIsomitBTSolver(binary, use_kernel=False).solve(k)
+        ref = RecursiveKIsomitBTSolver(binary).solve(k)
         ker = KIsomitBTSolver(binary).solve(k)
         assert ker.score == ref.score
         assert ker.initiators == ref.initiators

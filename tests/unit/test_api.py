@@ -7,7 +7,7 @@ import pytest
 import repro
 from repro import api
 from repro.core.rid import RID, RIDConfig
-from repro.core.baselines import resolve_budget_kwargs
+from repro.detectors.base import resolve_budget_kwargs
 from repro.diffusion.mfc import MFCModel
 from repro.errors import ConfigError
 from repro.experiments.config import WorkloadConfig
@@ -379,22 +379,16 @@ class TestBudgetKwargUnification:
         assert detector.detect_with_budget(infected, 5).initiators
 
     def test_effectors_legacy_kwarg(self):
-        with pytest.warns(DeprecationWarning, match="k_per_component"):
-            detector = KEffectorsDetector(k_per_component=2)
-        assert detector.budget == 2
-        assert detector.k_per_component == 2  # property alias still reads
+        with pytest.raises(ConfigError, match="budget="):
+            KEffectorsDetector(k_per_component=2)
 
     def test_simulation_matching_legacy_kwarg(self):
-        with pytest.warns(DeprecationWarning, match="max_initiators_per_component"):
-            detector = SimulationMatchingDetector(max_initiators_per_component=2)
-        assert detector.budget == 2
-        assert detector.max_initiators == 2
+        with pytest.raises(ConfigError, match="budget="):
+            SimulationMatchingDetector(max_initiators_per_component=2)
 
     def test_certainty_cover_legacy_kwarg(self):
-        with pytest.warns(DeprecationWarning, match="max_initiators"):
-            detector = CertaintyCoverDetector(max_initiators=2)
-        assert detector.budget == 2
-        assert detector.max_initiators == 2
+        with pytest.raises(ConfigError, match="budget="):
+            CertaintyCoverDetector(max_initiators=2)
 
     def test_new_spellings_are_warning_free(self):
         with warnings.catch_warnings():

@@ -14,6 +14,7 @@ from repro.kernel.compile import compile_graph
 from repro.runtime import RuntimeConfig
 from repro.runtime.cache import graph_digest, model_digest
 from repro.types import NodeState
+from tests.oracles.cascade_loops import ReferenceICModel, ReferenceMFCModel
 
 
 def diamond() -> SignedDiGraph:
@@ -190,13 +191,10 @@ class TestGraphDigestMemoization:
 
 class TestModelDigest:
     def test_kernel_flag_does_not_fork_cache_keys(self):
-        # Both paths are bit-identical, so they must share trial caches.
-        assert model_digest(MFCModel(use_kernel=True)) == model_digest(
-            MFCModel(use_kernel=False)
-        )
-        assert model_digest(ICModel(use_kernel=True)) == model_digest(
-            ICModel(use_kernel=False)
-        )
+        # The kernel and the dict-loop oracle are bit-identical, so they
+        # must share trial caches.
+        assert model_digest(MFCModel()) == model_digest(ReferenceMFCModel())
+        assert model_digest(ICModel()) == model_digest(ReferenceICModel())
 
     def test_real_parameters_still_fork(self):
         assert model_digest(MFCModel(alpha=2.0)) != model_digest(MFCModel(alpha=3.0))
@@ -218,7 +216,7 @@ class TestCompiledShipping:
             MFCModel(alpha=2.0), ladder(), seeds, trials=6, base_seed=11
         )
         slow = simulate_many(
-            MFCModel(alpha=2.0, use_kernel=False), ladder(), seeds, trials=6, base_seed=11
+            ReferenceMFCModel(alpha=2.0), ladder(), seeds, trials=6, base_seed=11
         )
         for a, b in zip(fast, slow):
             assert a.events == b.events

@@ -32,6 +32,7 @@ from repro.obs import MetricsRecorder, using_recorder
 from repro.runtime.config import RuntimeConfig
 from repro.types import NodeState
 from repro.utils.rng import derive_seed
+from tests.oracles.cascade_loops import ReferenceICModel, ReferenceMFCModel
 
 
 @pytest.fixture(autouse=True)
@@ -158,7 +159,7 @@ class TestFallbackPath:
             MFCModel(alpha=2.0), graph, seeds, 6, base_seed=4, record_states=True
         )
         fallback = simulate_batch(
-            MFCModel(alpha=2.0, use_kernel=False),
+            ReferenceMFCModel(alpha=2.0),
             graph,
             seeds,
             6,
@@ -202,7 +203,7 @@ class TestEstimateSpread:
         seeds = _seeds(graph)
         fast = estimate_spread(MFCModel(alpha=2.2), graph, seeds, trials=10, base_seed=7)
         legacy = estimate_spread(
-            MFCModel(alpha=2.2, use_kernel=False), graph, seeds, trials=10, base_seed=7
+            ReferenceMFCModel(alpha=2.2), graph, seeds, trials=10, base_seed=7
         )
         # Dataclass equality pins every field to the float: sizes,
         # non-empty-cascade state fractions, flips, rounds.
@@ -213,7 +214,7 @@ class TestEstimateSpread:
         seeds = _seeds(graph)
         fast = estimate_spread(ICModel(), graph, seeds, trials=12, base_seed=5)
         legacy = estimate_spread(
-            ICModel(use_kernel=False), graph, seeds, trials=12, base_seed=5
+            ReferenceICModel(), graph, seeds, trials=12, base_seed=5
         )
         assert fast == legacy
 

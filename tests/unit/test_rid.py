@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.baselines import RIDPositiveDetector, RIDTreeDetector
+from repro.detectors.baselines import RIDPositiveDetector, RIDTreeDetector
 from repro.core.rid import RID, RIDConfig
 from repro.errors import ConfigError
 from repro.graphs.signed_digraph import SignedDiGraph

@@ -3,16 +3,13 @@
 import pytest
 
 from repro.core.binarize import binarize_cascade_tree
-from repro.core.tree_dp import (
-    KIsomitBTSolver,
-    brute_force_k_isomit,
-    solve_k_isomit_bt,
-)
+from repro.core.tree_dp import KIsomitBTSolver, solve_k_isomit_bt
 from repro.errors import DynamicProgramError
 from repro.graphs.generators.trees import random_general_tree
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.types import NodeState
 from repro.utils.rng import derive_seed
+from tests.oracles.tree_dp_memo import RecursiveKIsomitBTSolver, brute_force_k_isomit
 
 
 def binarized(tree, alpha=3.0):
@@ -169,7 +166,7 @@ class TestSolverReuse:
 
     def test_path_product_memoised(self):
         binary = consistent_chain([0.2, 0.2])
-        solver = KIsomitBTSolver(binary)
+        solver = RecursiveKIsomitBTSolver(binary)
         root = binary.root
         leaf = [n.uid for n in binary.nodes if n.left is None and n.right is None][0]
         assert solver.path_product(root, leaf) == pytest.approx(0.36)

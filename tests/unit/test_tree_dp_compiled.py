@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.binarize import binarize_cascade_tree
-from repro.core.tree_dp import KIsomitBTSolver
+from repro.core.tree_dp import KIsomitBTSolver, solve_k_isomit_bt
 from repro.errors import DynamicProgramError
 from repro.graphs.generators.trees import random_general_tree
 from repro.graphs.signed_digraph import SignedDiGraph
@@ -11,11 +11,10 @@ from repro.kernel import (
     CompiledBinaryTree,
     TreeDPKernel,
     compile_binary_tree,
-    solve_curve_compiled,
-    solve_k_isomit_bt_compiled,
 )
 from repro.types import NodeState
 from repro.utils.rng import spawn_rng
+from tests.oracles.tree_dp_memo import RecursiveKIsomitBTSolver
 
 
 def _stated_tree(n, seed=0, max_children=3):
@@ -68,7 +67,7 @@ class TestCompiledBinaryTree:
     def test_gpath_rows_match_reference_path_product(self):
         binary = _binary(12, seed=7, max_children=4)
         ct = compile_binary_tree(binary)
-        solver = KIsomitBTSolver(binary, use_kernel=False)
+        solver = RecursiveKIsomitBTSolver(binary)
         for pos, uid in enumerate(ct.uids):
             row = ct.gpath[pos]
             assert len(row) == ct.depth[pos] + 1
@@ -128,33 +127,21 @@ class TestTreeDPKernel:
 
     def test_module_level_wrappers(self):
         binary = _binary(7, seed=2)
-        ref = KIsomitBTSolver(binary, use_kernel=False)
-        one = solve_k_isomit_bt_compiled(binary, 2)
+        ref = RecursiveKIsomitBTSolver(binary)
+        one = solve_k_isomit_bt(binary, 2)
         assert one.score == ref.solve(2).score
-        curve = solve_curve_compiled(binary, 3)
+        curve = TreeDPKernel(binary).solve_curve(3)
         assert [r.k for r in curve] == [1, 2, 3]
         assert all(r.score == ref.solve(r.k).score for r in curve)
 
 
 class TestSolverKernelWiring:
-    def test_kernel_is_default(self):
-        solver = KIsomitBTSolver(_binary(6))
-        assert solver.use_kernel is True
-        solver.solve(1)
-        assert isinstance(solver._kernel, TreeDPKernel)
-
-    def test_escape_hatch_uses_recursive_memo(self):
-        solver = KIsomitBTSolver(_binary(6), use_kernel=False)
-        solver.solve(1)
-        assert solver._kernel is None
-        assert len(solver._memo) > 0
-        assert solver.memo_size() == len(solver._memo)
-
     def test_memo_size_lazy_kernel(self):
         solver = KIsomitBTSolver(_binary(6))
-        assert solver.memo_size() == 0  # nothing solved, kernel not built
+        assert solver.memo_states == 0  # nothing solved, tree not compiled
+        assert not isinstance(solver._tree, CompiledBinaryTree)
         solver.solve(2)
-        assert solver.memo_size() > 0
+        assert solver.memo_states > 0
 
     def test_solver_curve_matches_kernel_curve(self):
         binary = _binary(9, seed=4)
@@ -166,15 +153,15 @@ class TestSolverKernelWiring:
 
     def test_recursive_curve_fallback(self):
         binary = _binary(7, seed=9)
-        curve = KIsomitBTSolver(binary, use_kernel=False).solve_curve(3)
-        reference = KIsomitBTSolver(binary, use_kernel=False)
+        curve = RecursiveKIsomitBTSolver(binary).solve_curve(3)
+        reference = RecursiveKIsomitBTSolver(binary)
         assert [(r.k, r.score) for r in curve] == [
             (k, reference.solve(k).score) for k in (1, 2, 3)
         ]
 
     def test_path_product_iterative_matches_and_caches(self):
         binary = _binary(10, seed=6)
-        solver = KIsomitBTSolver(binary)
+        solver = RecursiveKIsomitBTSolver(binary)
         # Deepest slot: exercise a multi-hop upward walk.
         deepest = max(
             range(binary.size()),
@@ -196,7 +183,7 @@ class TestSolverKernelWiring:
         tree.add_edge(0, 1, 1, 0.5)
         tree.add_edge(0, 2, 1, 0.5)
         binary = binarize_cascade_tree(tree, alpha=3.0)
-        solver = KIsomitBTSolver(binary)
+        solver = RecursiveKIsomitBTSolver(binary)
         leaves = [n.uid for n in binary.nodes if n.left is None and n.right is None]
         with pytest.raises(DynamicProgramError, match="is not an ancestor"):
             solver.path_product(leaves[0], leaves[1])
