@@ -6,10 +6,11 @@ Two headline workloads (``docs/algorithms.md`` §12):
 * **Cascades** on a 20k-node / 8M-edge signed digraph (average
   out-degree 400, low per-edge probabilities — an attempts-heavy
   Monte-Carlo regime). The spread-estimation workloads (MFC with and
-  without flips, IC; ``record_events=False``, which is what
-  Monte-Carlo spread estimation consumes) form the headline suite
-  speedup (geometric mean of the per-workload speedups); the MFC
-  full-event-trace workload is reported as its own row. Every workload row is the best of ``--repeats`` per-backend
+  without flips, IC; one trace-free ``run_*_batch([seed])`` call per
+  trial, which is what a per-trial Monte-Carlo consumer runs) form the
+  headline suite speedup (geometric mean of the per-workload speedups);
+  the MFC full-event-trace workload (``run_mfc_compiled``) is reported
+  as its own row. Every workload row is the best of ``--repeats`` per-backend
   blocks of ``--trials`` cascades (block-min timing — single-core
   hosts under memory-subsystem contention swing individual blocks by
   ±20%). The numpy backend is statistical-tier, so the gate here is
@@ -44,7 +45,8 @@ from repro.core.binarize import binarize_cascade_tree
 from repro.graphs.generators.trees import random_general_tree
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.kernel.backends import numpy_available, resolve_backend
-from repro.kernel.cascade import check_seeds_compiled, run_ic_compiled, run_mfc_compiled
+from repro.kernel.batch import run_ic_batch, run_mfc_batch
+from repro.kernel.cascade import check_seeds_compiled, run_mfc_compiled
 from repro.kernel.compile import compile_graph
 from repro.kernel.tree_dp import TreeDPKernel, compile_binary_tree
 from repro.types import NodeState
@@ -94,40 +96,51 @@ def bench_cascades(
     compiled = compile_graph(graph)
     validated = check_seeds_compiled(compiled, bench_seeds(n, seed))
 
-    def mfc(backend, trial, allow_flips, record_events):
-        return run_mfc_compiled(
+    # Each runner returns the trial's infected count. The spread rows
+    # are trace-free T = 1 batches; on the python backend trial seed
+    # ``t`` replays ``spawn_rng(t, namespace)``, the event-trace row's
+    # stream.
+    def mfc_spread(backend, trial, allow_flips):
+        return run_mfc_batch(
             compiled,
             validated,
-            spawn_rng(trial, "mfc"),
+            [trial],
             alpha=alpha,
             allow_flips=allow_flips,
             max_rounds=1_000_000,
             backend=backend,
-            record_events=record_events,
-        )
+        ).infected[0]
 
-    def ic(backend, trial, record_events):
-        return run_ic_compiled(
-            compiled,
-            validated,
-            spawn_rng(trial, "ic"),
-            propagate_signs=True,
-            backend=backend,
-            record_events=record_events,
+    def ic_spread(backend, trial):
+        return run_ic_batch(
+            compiled, validated, [trial], propagate_signs=True, backend=backend
+        ).infected[0]
+
+    def mfc_event_trace(backend, trial):
+        return len(
+            run_mfc_compiled(
+                compiled,
+                validated,
+                spawn_rng(trial, "mfc"),
+                alpha=alpha,
+                allow_flips=True,
+                max_rounds=1_000_000,
+                backend=backend,
+            ).final_states
         )
 
     runners = {
-        "mfc_spread": lambda b, t: mfc(b, t, True, False),
-        "mfc_no_flips": lambda b, t: mfc(b, t, False, False),
-        "ic_spread": lambda b, t: ic(b, t, False),
-        "mfc_event_trace": lambda b, t: mfc(b, t, True, True),
+        "mfc_spread": lambda b, t: mfc_spread(b, t, True),
+        "mfc_no_flips": lambda b, t: mfc_spread(b, t, False),
+        "ic_spread": ic_spread,
+        "mfc_event_trace": mfc_event_trace,
     }
 
     def block(runner, backend):
         start = time.perf_counter()
         infected = 0
         for trial in range(trials):
-            infected += len(runner(backend, trial).final_states)
+            infected += runner(backend, trial)
         return time.perf_counter() - start, infected / trials
 
     workloads = {}

@@ -6,9 +6,9 @@ cascades from one seed assignment on a 20k-node / 200k-edge signed
 digraph (average out-degree 10, moderate per-edge probabilities). Two
 executions of the same T trials are timed per workload:
 
-* **per-trial** — T separate ``run_*_compiled`` calls on the numpy
-  backend with ``record_events=False`` (the pre-batch fast path: one
-  dispatch, one scratch-buffer warm-up, one RNG spin-up per trial);
+* **per-trial** — T separate one-seed ``run_*_batch([seed])`` calls on
+  the numpy backend (what a per-trial Monte-Carlo consumer runs: one
+  dispatch, one state-matrix allocation, one RNG spin-up per trial);
 * **batched** — one ``run_*_batch`` call sweeping all T trials as
   ``(T, n)`` matrices with a single SFC64 stream per round.
 
@@ -47,11 +47,7 @@ from repro.diffusion.monte_carlo import simulate_batch, simulate_many
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.kernel.backends import numpy_available, resolve_backend
 from repro.kernel.batch import run_ic_batch, run_mfc_batch
-from repro.kernel.cascade import (
-    check_seeds_compiled,
-    run_ic_compiled,
-    run_mfc_compiled,
-)
+from repro.kernel.cascade import check_seeds_compiled
 from repro.kernel.compile import compile_graph
 from repro.types import NodeState
 from repro.utils.rng import derive_seed, spawn_rng
@@ -100,31 +96,24 @@ def bench_batched(
     def per_trial_mfc(backend, allow_flips):
         infected = 0
         for trial_seed in mfc_seeds:
-            result = run_mfc_compiled(
+            infected += run_mfc_batch(
                 compiled,
                 validated,
-                spawn_rng(trial_seed, "mfc"),
+                [trial_seed],
                 alpha=alpha,
                 allow_flips=allow_flips,
                 max_rounds=1_000_000,
                 backend=backend,
-                record_events=False,
-            )
-            infected += len(result.final_states)
+            ).infected[0]
         return infected / trials
 
     def per_trial_ic(backend):
         infected = 0
         for trial_seed in ic_seeds:
-            result = run_ic_compiled(
-                compiled,
-                validated,
-                spawn_rng(trial_seed, "ic"),
-                propagate_signs=True,
+            infected += run_ic_batch(
+                compiled, validated, [trial_seed], propagate_signs=True,
                 backend=backend,
-                record_events=False,
-            )
-            infected += len(result.final_states)
+            ).infected[0]
         return infected / trials
 
     def batched_mfc(backend, allow_flips):

@@ -95,11 +95,6 @@ class MFCModel(DiffusionModel):
         """The requested kernel backend (``None`` = environment default)."""
         return self._backend
 
-    def attempt_probability(self, diffusion: SignedDiGraph, u: Node, v: Node) -> float:
-        """Probability that ``u``'s single attempt on ``v`` succeeds."""
-        data = diffusion.edge(u, v)
-        return boosted_probability(data.weight, data.sign, self.alpha)
-
     def run(
         self,
         diffusion: SignedDiGraph,

@@ -10,6 +10,8 @@ package makes it a selectable one:
   oracles. This is the default; every existing identity gate pins it.
 * ``numpy`` — frontier-batched vectorized cascade rounds and per-level
   vectorized TreeDP sweeps (:mod:`repro.kernel.backends.numpy_backend`).
+  Its only cascade loops are the batched ones; a single cascade is a
+  T = 1 batch whose winners are decoded into the event trace.
   **Statistical-identity tier** for cascades: batching necessarily
   consumes the RNG in a different order than the reference stream, so
   individual cascades differ draw-for-draw while exact-graph invariants
@@ -25,10 +27,10 @@ package makes it a selectable one:
 Both backends also implement the **batched-trial** protocol
 (``mfc_batch`` / ``ic_batch``): T cascades in one call, returning
 compact per-trial summaries (:class:`repro.kernel.batch.
-CascadeBatchSummary`). The python tier loops per trial and is
-bit-identical to ``simulate_many``; the numpy tier sweeps all trials as
-``(T, n)`` matrices and joins the statistical tier. See
-``docs/algorithms.md`` §13.
+CascadeBatchSummary`) with no event trace. The python tier runs its one
+cascade loop per trial and is bit-identical to ``simulate_many``; the
+numpy tier sweeps all trials as ``(T, n)`` matrices and joins the
+statistical tier. See ``docs/algorithms.md`` §13.
 
 Selection order: an explicit ``backend=`` argument wins, else the
 ``REPRO_KERNEL_BACKEND`` environment variable, else ``python``. The
@@ -78,24 +80,13 @@ class PythonBackend:
         self._mfc_batch = _batch.python_mfc_batch
         self._ic_batch = _batch.python_ic_batch
 
-    def mfc_cascade(
-        self,
-        compiled,
-        validated,
-        random,
-        alpha,
-        allow_flips,
-        max_rounds,
-        record_events=True,
-    ):
+    def mfc_cascade(self, compiled, validated, random, alpha, allow_flips, max_rounds):
         """One MFC cascade; returns ``(result, per-slot attempt flags)``."""
-        return self._mfc(
-            compiled, validated, random, alpha, allow_flips, max_rounds, record_events
-        )
+        return self._mfc(compiled, validated, random, alpha, allow_flips, max_rounds)
 
-    def ic_cascade(self, compiled, validated, random, propagate_signs, record_events=True):
+    def ic_cascade(self, compiled, validated, random, propagate_signs):
         """One IC cascade; returns ``(result, per-slot attempt flags)``."""
-        return self._ic(compiled, validated, random, propagate_signs, record_events)
+        return self._ic(compiled, validated, random, propagate_signs)
 
     def mfc_batch(
         self,
@@ -145,26 +136,30 @@ class NumpyBackend:
 
         self._impl = _impl
 
-    def mfc_cascade(
-        self,
-        compiled,
-        validated,
-        random,
-        alpha,
-        allow_flips,
-        max_rounds,
-        record_events=True,
-    ):
-        """One frontier-batched MFC cascade; returns ``(result, attempts)``."""
-        return self._impl.mfc_cascade(
-            compiled, validated, random, alpha, allow_flips, max_rounds, record_events
+    def mfc_cascade(self, compiled, validated, random, alpha, allow_flips, max_rounds):
+        """One MFC cascade as a T = 1 batch; returns ``(result, attempts)``."""
+        return self._single(
+            self._impl._mfc_sweep, compiled, validated, random,
+            alpha, allow_flips, max_rounds,
         )
 
-    def ic_cascade(self, compiled, validated, random, propagate_signs, record_events=True):
-        """One frontier-batched IC cascade; returns ``(result, attempts)``."""
-        return self._impl.ic_cascade(
-            compiled, validated, random, propagate_signs, record_events
+    def ic_cascade(self, compiled, validated, random, propagate_signs):
+        """One IC cascade as a T = 1 batch; returns ``(result, attempts)``."""
+        return self._single(
+            self._impl._ic_sweep, compiled, validated, random, propagate_signs
         )
+
+    def _single(self, sweep, compiled, validated, random, *params):
+        """Run ``sweep`` on one trial seed drawn from ``random``, logging
+        winners, and decode the log into a :class:`DiffusionResult`."""
+        log = []
+        _, _, rounds, attempts = sweep(
+            compiled, validated, [random.getrandbits(64)], *params, log
+        )
+        result = self._impl._materialise_arrays(
+            compiled, validated, log, int(rounds[0])
+        )
+        return result, attempts
 
     def mfc_batch(
         self,

@@ -3,8 +3,15 @@
 Importing this module requires numpy; :mod:`repro.kernel.backends` only
 does so after a successful feature probe.
 
-Cascades — frontier-batched rounds (statistical-identity tier)
+Cascades — batched frontier rounds (statistical-identity tier)
 --------------------------------------------------------------
+
+There is one MFC loop (``_mfc_sweep``, behind :func:`mfc_batch`) and
+one IC loop (``_ic_sweep``, behind :func:`ic_batch`); they advance T
+trials together, and a single cascade is a T = 1 batch
+(``NumpyBackend.mfc_cascade`` / ``ic_cascade`` in
+:mod:`repro.kernel.backends`, which decode the winners log with
+:func:`_materialise_arrays`).
 
 Per round, the candidate attempts of the whole frontier are processed
 as one array program: gather every untried CSR slot out of the frontier
@@ -34,10 +41,11 @@ round *start*, deferring such chains to the next round. Reachability is
 unaffected (flips never un-infect), and the flip-rate shift is part of
 the statistical tier's tolerance gate.
 
-The RNG contract: the caller's :class:`random.Random` seeds a
-``numpy.random.Generator`` (one ``getrandbits`` draw per cascade), so
-runs remain deterministic given the seed — just under a different
-stream than the reference.
+The RNG contract: the per-trial integer seeds seed one
+``numpy.random.Generator`` per batch (a single cascade draws its one
+trial seed from the caller's :class:`random.Random`), so runs remain
+deterministic given the seed — just under a different stream than the
+reference.
 
 TreeDP — per-level vectorized sweeps (bit-identical)
 ----------------------------------------------------
@@ -54,13 +62,12 @@ bit-identical to the interpreted sweep.
 
 from __future__ import annotations
 
-import random as _random
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.diffusion.base import ActivationEvent, DiffusionResult
-from repro.kernel.cascade import _DECODE, _materialise
+from repro.kernel.cascade import _DECODE, _seed_events, _seeded
 from repro.kernel.compile import CompiledGraph
 from repro.types import Node, NodeState
 
@@ -77,26 +84,20 @@ def _ensure_arrays(compiled: CompiledGraph) -> dict:
 
     Derived data, like ``CompiledGraph.hot_rows``: excluded from
     pickling and rebuilt on first use in each process. The ``scratch``
-    entry holds the reusable per-round work buffers — freshly mmapped
-    pages cost a page fault per first touch, so re-mallocing half a
-    dozen slot-sized temporaries every round is real time; the pool
-    amortises that across rounds *and* cascades (peak footprint is a
-    few machine words per edge, the same order as one round's
-    temporaries under the malloc-per-round scheme).
+    entry holds the conflict-resolution work buffers — freshly mmapped
+    pages cost a page fault per first touch, so the pool reuses them
+    across rounds *and* batches.
     """
     cache = compiled._np
     if cache is None:
-        # int32 slot/node indices halve the bytes every hot gather moves
-        # (the slot-index gathers dominate the cascade loop); int64 only
-        # when the edge count actually needs it.
+        # int32 row offsets halve the bytes the frontier-row gathers
+        # move; int64 only when the edge count actually needs it.
         itype = np.int64 if compiled.num_edges >= _I32_MAX else np.int32
         # Node ids get their own dtype: uint16 when every id + 1 fits
-        # (the frontier is bumped by one to index ``indptr`` row ends),
-        # quartering the bytes of the target gathers on typical graphs.
+        # (frontier nodes are bumped by one to index ``indptr`` row
+        # ends), quartering the bytes of the target gathers.
         ttype = np.uint16 if compiled.num_nodes <= 0xFFFF else itype
         cache = {
-            "itype": itype,
-            "ttype": ttype,
             "indptr": np.asarray(compiled.indptr, dtype=itype),
             "targets": np.asarray(compiled.targets, dtype=ttype),
             "signs": np.frombuffer(bytes(compiled.signs), dtype=np.uint8) != 0,
@@ -111,17 +112,10 @@ def _ensure_arrays(compiled: CompiledGraph) -> dict:
 
 
 def _scratch(cache: dict, name: str, size: int, dtype) -> np.ndarray:
-    """A length-``size`` view of the named reusable work buffer.
-
-    Reallocates on a dtype change as well as on growth: the batched tier
-    runs its conflict resolution over int64 flattened keys while the
-    single-cascade path may use int32 positions on the same graph, and a
-    stale-dtype buffer would make ``out=`` kernels miscast.
-    """
-    pool = cache.setdefault("scratch", {})
+    """A length-``size`` view of the named reusable work buffer."""
+    pool = cache["scratch"]
     buf = pool.get(name)
-    dtype = np.dtype(dtype)
-    if buf is None or buf.size < size or buf.dtype != dtype:
+    if buf is None or buf.size < size:
         buf = np.empty(max(size, 1024), dtype)
         pool[name] = buf
     return buf[:size]
@@ -129,8 +123,7 @@ def _scratch(cache: dict, name: str, size: int, dtype) -> np.ndarray:
 
 _IOTAS: Dict[object, np.ndarray] = {}
 
-#: Largest ``int32``; doubles as the "no success" sentinel for int32
-#: graphs (any value above every candidate position works).
+#: Largest ``int32``: graphs with this many edges need int64 offsets.
 _I32_MAX = np.iinfo(np.int32).max
 
 
@@ -160,26 +153,6 @@ def _probabilities(compiled: CompiledGraph, alpha: float) -> np.ndarray:
         probs = np.asarray(compiled.probabilities(key), dtype=np.float32)
         cache["probs"][key] = probs
     return probs
-
-
-def _plant(
-    compiled: CompiledGraph, validated: Dict[Node, NodeState]
-) -> Tuple[np.ndarray, np.ndarray, List[ActivationEvent]]:
-    """Seed the state array; return it with the round-0 frontier/events."""
-    states = np.zeros(compiled.num_nodes, dtype=np.uint8)
-    index = compiled.index
-    seeded = sorted(
-        (index[node], 1 if int(state) > 0 else 2) for node, state in validated.items()
-    )
-    nodes = compiled.nodes
-    events = []
-    for i, s in seeded:
-        states[i] = s
-        events.append(
-            ActivationEvent(round=0, source=None, target=nodes[i], state=_DECODE[s])
-        )
-    frontier = np.fromiter((i for i, _ in seeded), dtype=np.int64, count=len(seeded))
-    return states, frontier, events
 
 
 def _run_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -245,13 +218,13 @@ def _resolve_round(
 def _materialise_arrays(
     compiled: CompiledGraph,
     validated: Dict[Node, NodeState],
-    events: List[ActivationEvent],
     log: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
     rounds: int,
 ) -> DiffusionResult:
     """Array-log counterpart of :func:`repro.kernel.cascade._materialise`.
 
-    The batched loops keep each round's winners as numpy arrays; this
+    A T = 1 batch run with a ``log`` keeps each round's winners as numpy
+    arrays; this
     decodes them in one bulk ``tolist`` pass per round instead of
     round-by-round tuple zipping inside the hot loop. Event objects are
     built by installing the instance ``__dict__`` directly: the frozen
@@ -267,6 +240,7 @@ def _materialise_arrays(
     decode = _DECODE
     new = ActivationEvent.__new__
     cls = ActivationEvent
+    events = _seed_events(compiled, validated)
     append = events.append
     final_states = dict(validated)
     for round_index, w_src, w_tgt, s_new, was_flip in log:
@@ -290,230 +264,6 @@ def _materialise_arrays(
     )
 
 
-def _finalise_arrays(
-    compiled: CompiledGraph,
-    validated: Dict[Node, NodeState],
-    states: np.ndarray,
-    rounds: int,
-) -> DiffusionResult:
-    """Trace-free twin of :func:`_materialise_arrays`.
-
-    Mirrors :func:`repro.kernel.cascade._finalise`: ``final_states``
-    scanned off the state array (dict-equal to the recorded run's, in
-    node-index order), empty ``events`` by contract.
-    """
-    nodes = compiled.nodes
-    decode = _DECODE
-    active = np.flatnonzero(states)
-    final_states = {
-        nodes[i]: decode[s] for i, s in zip(active.tolist(), states[active].tolist())
-    }
-    return DiffusionResult(
-        seeds=validated, final_states=final_states, events=[], rounds=rounds
-    )
-
-
-def mfc_cascade(
-    compiled: CompiledGraph,
-    validated: Dict[Node, NodeState],
-    random: _random.Random,
-    alpha: float,
-    allow_flips: bool,
-    max_rounds: int,
-    record_events: bool = True,
-) -> Tuple[DiffusionResult, int]:
-    """One frontier-batched MFC cascade; returns ``(result, attempts)``.
-
-    Every round stages its work through the compiled graph's reusable
-    scratch buffers (gathers and ufuncs write via ``out=``), and the
-    candidate set is compacted once after the eligibility mask so the
-    draw/resolve stage runs at kept width. The one-attempt-per-pair
-    filter is an inverted ``untried`` flag array applied *after* that
-    compress — and only once a flip has actually re-queued a seen
-    source, since until then every kept slot is provably untried (both
-    a pre-compress full-width gather and a per-re-entrant-row-block
-    filter were measured slower than this kept-width form).
-    """
-    arrays = _ensure_arrays(compiled)
-    indptr, targets, signs = arrays["indptr"], arrays["targets"], arrays["signs"]
-    probs = _probabilities(compiled, alpha)
-    # SFC64 is the fastest stdlib-shipped bit generator numpy offers;
-    # the statistical tier pins no stream, only the seed derivation.
-    rng = np.random.Generator(np.random.SFC64(random.getrandbits(128)))
-
-    states, frontier, events = _plant(compiled, validated)
-    itype, ttype = arrays["itype"], arrays["ttype"]
-    untried = np.ones(compiled.num_edges, dtype=bool) if allow_flips else None
-    first = np.full(compiled.num_nodes, _no_success(itype), dtype=itype)
-    log: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    rounds = 0
-    attempts = 0
-    may_retry = False  # True once any flip has re-queued a seen source
-
-    while frontier.size and rounds < max_rounds:
-        rounds += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        nzm = counts > 0
-        if not nzm.all():  # zero-degree rows contribute no slots
-            frontier_nz = frontier[nzm]
-            starts, counts = starts[nzm], counts[nzm]
-        else:
-            frontier_nz = frontier
-        if not counts.size:
-            break
-        slots = _run_ranges(starts, counts)
-        n = slots.size
-        s_src = np.repeat(states[frontier_nz], counts)
-        tgt = _scratch(arrays, "tgt", n, ttype)
-        np.take(targets, slots, out=tgt)
-        s_t = _scratch(arrays, "s_t", n, np.uint8)
-        np.take(states, tgt, out=s_t)
-        fresh = _scratch(arrays, "fresh", n, bool)
-        np.equal(s_t, 0, out=fresh)
-        if allow_flips:
-            keep = _scratch(arrays, "keep", n, bool)
-            np.not_equal(s_src, s_t, out=keep)
-            sg = _scratch(arrays, "sg", n, bool)
-            np.take(signs, slots, out=sg)
-            keep &= sg
-            keep |= fresh
-        else:
-            keep = fresh  # flips off: eligibility is freshness alone
-        k = int(np.count_nonzero(keep))
-        if not k:
-            break
-        slots_k = _scratch(arrays, "slots_k", k, itype)
-        np.compress(keep, slots, out=slots_k)
-        if may_retry:
-            u = _scratch(arrays, "u", k, bool)
-            np.take(untried, slots_k, out=u)
-            ku = int(np.count_nonzero(u))
-            if ku < k:
-                if not ku:
-                    break
-                compacted = _scratch(arrays, "slots_k2", ku, itype)
-                np.compress(u, slots_k, out=compacted)
-                slots_k = compacted
-                k = ku
-        tgt_k = _scratch(arrays, "tgt_k", k, ttype)
-        np.take(targets, slots_k, out=tgt_k)
-        draws = _scratch(arrays, "draws", k, np.float32)
-        rng.random(out=draws, dtype=np.float32)
-        p = _scratch(arrays, "p", k, np.float32)
-        np.take(probs, slots_k, out=p)
-        succ = _scratch(arrays, "succ", k, bool)
-        np.less(draws, p, out=succ)
-        unatt, winner = _resolve_round(arrays, tgt_k, succ, first)
-        if allow_flips:
-            # The kept slots were all untried, so a plain scatter is exact.
-            untried[slots_k] = unatt
-        attempts += k - int(np.count_nonzero(unatt))
-        win = np.flatnonzero(winner)  # ascending → slot order (reference order)
-        if not win.size:
-            break
-        w_slots = slots_k[win]
-        w_src = np.searchsorted(indptr, w_slots, side="right") - 1
-        w_tgt = tgt_k[win].copy()  # the scratch row is reused next round
-        s_new = np.where(signs[w_slots], states[w_src], 3 - states[w_src]).astype(
-            np.uint8
-        )
-        was_flip = states[w_tgt] != 0  # pre-update: an active winner target flipped
-        if record_events:
-            log.append((rounds, w_src, w_tgt, s_new, was_flip))
-        if allow_flips and not may_retry:
-            may_retry = bool(was_flip.any())
-        states[w_tgt] = s_new
-        frontier = np.sort(w_tgt)
-
-    if not record_events:
-        return _finalise_arrays(compiled, validated, states, rounds), attempts
-    return _materialise_arrays(compiled, validated, events, log, rounds), attempts
-
-
-def ic_cascade(
-    compiled: CompiledGraph,
-    validated: Dict[Node, NodeState],
-    random: _random.Random,
-    propagate_signs: bool,
-    record_events: bool = True,
-) -> Tuple[DiffusionResult, int]:
-    """One frontier-batched IC cascade; returns ``(result, attempts)``.
-
-    Same uncompressed scratch-buffer scheme as :func:`mfc_cascade`,
-    minus the parts IC cannot need: activation is one-shot, so no slot
-    row is ever visited twice and the ``tried`` bookkeeping drops out
-    entirely (attempt accounting still runs through the first-success
-    conflict rule).
-    """
-    arrays = _ensure_arrays(compiled)
-    indptr, targets, signs = arrays["indptr"], arrays["targets"], arrays["signs"]
-    weights = arrays["weights"]
-    # SFC64 is the fastest stdlib-shipped bit generator numpy offers;
-    # the statistical tier pins no stream, only the seed derivation.
-    rng = np.random.Generator(np.random.SFC64(random.getrandbits(128)))
-
-    states, frontier, events = _plant(compiled, validated)
-    itype, ttype = arrays["itype"], arrays["ttype"]
-    first = np.full(compiled.num_nodes, _no_success(itype), dtype=itype)
-    log: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    rounds = 0
-    attempts = 0
-
-    while frontier.size:
-        rounds += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        nzm = counts > 0
-        if not nzm.all():
-            starts, counts = starts[nzm], counts[nzm]
-        if not counts.size:
-            break
-        slots = _run_ranges(starts, counts)
-        n = slots.size
-        tgt = _scratch(arrays, "tgt", n, ttype)
-        np.take(targets, slots, out=tgt)
-        s_t = _scratch(arrays, "s_t", n, np.uint8)
-        np.take(states, tgt, out=s_t)
-        keep = _scratch(arrays, "keep", n, bool)
-        np.equal(s_t, 0, out=keep)  # IC never re-activates
-        k = int(np.count_nonzero(keep))
-        if not k:
-            break
-        slots_k = _scratch(arrays, "slots_k", k, itype)
-        np.compress(keep, slots, out=slots_k)
-        tgt_k = _scratch(arrays, "tgt_k", k, ttype)
-        np.take(targets, slots_k, out=tgt_k)
-        draws = _scratch(arrays, "draws", k, np.float32)
-        rng.random(out=draws, dtype=np.float32)
-        p = _scratch(arrays, "p", k, np.float32)
-        np.take(weights, slots_k, out=p)
-        succ = _scratch(arrays, "succ", k, bool)
-        np.less(draws, p, out=succ)
-        unatt, winner = _resolve_round(arrays, tgt_k, succ, first)
-        attempts += k - int(np.count_nonzero(unatt))
-        win = np.flatnonzero(winner)
-        if not win.size:
-            break
-        w_slots = slots_k[win]
-        w_src = np.searchsorted(indptr, w_slots, side="right") - 1
-        w_tgt = tgt_k[win].copy()
-        if propagate_signs:
-            s_new = np.where(signs[w_slots], states[w_src], 3 - states[w_src]).astype(
-                np.uint8
-            )
-        else:
-            s_new = states[w_src].astype(np.uint8)
-        states[w_tgt] = s_new
-        if record_events:
-            log.append((rounds, w_src, w_tgt, s_new, np.zeros(win.size, dtype=bool)))
-        frontier = np.sort(w_tgt)
-
-    if not record_events:
-        return _finalise_arrays(compiled, validated, states, rounds), attempts
-    return _materialise_arrays(compiled, validated, events, log, rounds), attempts
-
-
 # ---------------------------------------------------------------------------
 # Batched multi-trial cascades
 # ---------------------------------------------------------------------------
@@ -532,12 +282,11 @@ def ic_cascade(
 # alive.
 #
 # Each global round expands the frontier pairs into one candidate
-# array — CSR slot runs exactly as the single-cascade path does, with
-# the trial id repeated alongside — and then reuses the single-cascade
-# round machinery verbatim on *flattened* keys: the conflict-resolution
+# array — CSR slot runs (`_run_ranges`) with the trial id repeated
+# alongside — and resolves conflicts on *flattened* keys: the
 # scatter-min runs over `trial * n + target`, the one-attempt-per-pair
 # flags over `trial * m + slot` (int64 keys throughout, so the products
-# never overflow the itype). One RNG draw block per round covers every
+# never overflow the index dtype). One RNG draw block per round covers every
 # trial's attempts, which is the whole point: the per-round dispatch
 # overhead (mask setup, take / compress staging, RNG slicing) is paid
 # once per round instead of once per round *per trial*. Trials that
@@ -545,13 +294,19 @@ def ic_cascade(
 #
 # RNG derivation: the per-trial integer seeds (derive_seed(base, name,
 # t), computed by the caller) are folded into one SeedSequence, so the
-# batch is deterministic given (base_seed, trial count) — but, like the
-# single-cascade numpy path, under a different stream than the
-# reference: this tier is statistical, and per-trial results also
-# differ from T single numpy cascades. Round semantics match the
+# batch is deterministic given (base_seed, trial count) — but under a
+# different stream than the reference: this tier is statistical, and a
+# trial's result depends on the whole seed list, so it differs from the
+# same seed run as a T = 1 batch. Round semantics match the
 # reference per trial: a trial's round counter increments exactly when
 # its frontier enters a round non-empty and below max_rounds — including
 # a final all-failure round.
+#
+# Event log (T = 1 only): given a list, the loops append each round's
+# winners as `(round, w_src, w_tgt, s_new, was_flip)` arrays. With one
+# trial the flattened keys are node indices and row-major candidate
+# order is slot order, so the log replays the reference's event order
+# for `_materialise_arrays`.
 
 
 def _seed_batch(
@@ -565,10 +320,7 @@ def _seed_batch(
     that order directly.
     """
     n = compiled.num_nodes
-    index = compiled.index
-    seeded = sorted(
-        (index[node], 1 if int(state) > 0 else 2) for node, state in validated.items()
-    )
+    seeded = _seeded(compiled, validated)
     idx = np.fromiter((i for i, _ in seeded), dtype=np.int64, count=len(seeded))
     vals = np.fromiter((s for _, s in seeded), dtype=np.uint8, count=len(seeded))
     states = np.zeros((trials, n), dtype=np.uint8)
@@ -624,6 +376,28 @@ def mfc_batch(
     record_states: bool = False,
 ):
     """T MFC cascades as one ``(T, n)`` matrix sweep (statistical tier)."""
+    return _batch_summary(
+        compiled,
+        validated,
+        *_mfc_sweep(compiled, validated, trial_seeds, alpha, allow_flips, max_rounds),
+        record_states,
+    )
+
+
+def _mfc_sweep(
+    compiled: CompiledGraph,
+    validated: Dict[Node, NodeState],
+    trial_seeds,
+    alpha: float,
+    allow_flips: bool,
+    max_rounds: int,
+    log: Optional[list] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The MFC loop behind :func:`mfc_batch`.
+
+    Returns ``(states, flips, rounds, attempts)``; a ``log`` list (T = 1
+    only) collects each round's winners.
+    """
     arrays = _ensure_arrays(compiled)
     indptr, targets, signs = arrays["indptr"], arrays["targets"], arrays["signs"]
     probs = _probabilities(compiled, alpha)
@@ -635,9 +409,9 @@ def mfc_batch(
     states, f_tr, f_un = _seed_batch(compiled, validated, T)
     flat_states = states.reshape(-1)
     # Per-(trial, slot) one-attempt flags, flat. O(T * m) bools — the
-    # batch tier's only superlinear buffer; allocated upfront (like the
-    # single-cascade `untried`) because a flip in round r can re-queue a
-    # source whose slots were attempted in any earlier round.
+    # batch tier's only superlinear buffer; allocated upfront because a
+    # flip in round r can re-queue a source whose slots were attempted
+    # in any earlier round.
     untried = np.ones(T * m, dtype=bool) if allow_flips else None
     first = np.full(T * n, _no_success(np.int64), dtype=np.int64)
     rounds = np.zeros(T, dtype=np.int64)
@@ -705,6 +479,8 @@ def mfc_batch(
         s_u = flat_states[w_trial * n + w_src]
         s_new = np.where(signs[w_slots], s_u, 3 - s_u).astype(np.uint8)
         was_flip = flat_states[w_tkey] != 0
+        if log is not None:
+            log.append((int(rounds[0]), w_src, w_tkey, s_new, was_flip))
         if was_flip.any():
             flips += np.bincount(w_trial[was_flip], minlength=T)
             if allow_flips:
@@ -717,9 +493,7 @@ def mfc_batch(
         f_tr = w_trial[order]
         f_un = w_tkey - f_tr * n
 
-    return _batch_summary(
-        compiled, validated, states, flips, rounds, attempts, record_states
-    )
+    return states, flips, rounds, attempts
 
 
 def ic_batch(
@@ -730,10 +504,27 @@ def ic_batch(
     propagate_signs: bool,
     record_states: bool = False,
 ):
-    """T IC cascades as one ``(T, n)`` matrix sweep (statistical tier).
+    """T IC cascades as one ``(T, n)`` matrix sweep (statistical tier)."""
+    return _batch_summary(
+        compiled,
+        validated,
+        *_ic_sweep(compiled, validated, trial_seeds, propagate_signs),
+        record_states,
+    )
 
-    Same flattened-key scheme as :func:`mfc_batch`, minus flips,
-    one-attempt flags and the round cap — IC activation is one-shot.
+
+def _ic_sweep(
+    compiled: CompiledGraph,
+    validated: Dict[Node, NodeState],
+    trial_seeds,
+    propagate_signs: bool,
+    log: Optional[list] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The IC loop behind :func:`ic_batch`; returns and logs like
+    :func:`_mfc_sweep`.
+
+    Same flattened-key scheme, minus flips, one-attempt flags and the
+    round cap — IC activation is one-shot.
     """
     arrays = _ensure_arrays(compiled)
     indptr, targets, signs = arrays["indptr"], arrays["targets"], arrays["signs"]
@@ -790,15 +581,16 @@ def ic_batch(
         else:
             s_new = s_u.astype(np.uint8)
         flat_states[w_tkey] = s_new
+        if log is not None:
+            log.append(
+                (int(rounds[0]), w_src, w_tkey, s_new, np.zeros(win.size, dtype=bool))
+            )
         order = np.argsort(w_tkey)
         w_tkey = w_tkey[order]
         f_tr = w_trial[order]
         f_un = w_tkey - f_tr * n
 
-    flips = np.zeros(T, dtype=np.int64)
-    return _batch_summary(
-        compiled, validated, states, flips, rounds, attempts, record_states
-    )
+    return states, np.zeros(T, dtype=np.int64), rounds, attempts
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ times over (per-round mask setup, RNG block slicing, result
 materialisation). The batch tier runs all T trials through **one**
 backend call:
 
-* the ``python`` backend loops a counter-only twin of the reference
-  cascade per trial (:func:`repro.kernel.cascade._mfc_cascade_summary`)
-  and is **bit-identical** to ``simulate_many`` — same per-trial RNG
-  streams (``spawn_rng(trial_seeds[t], namespace)``), same final
-  states, same round/flip/attempt counts;
+* the ``python`` backend runs the one reference cascade loop per trial
+  (:func:`repro.kernel.cascade._mfc_loop`) and counts off its return
+  instead of materialising events, so it is **bit-identical** to
+  ``simulate_many`` — same per-trial RNG streams
+  (``spawn_rng(trial_seeds[t], namespace)``), same final states, same
+  round/flip/attempt counts;
 * the ``numpy`` backend sweeps all trials as ``(T, n)`` state/frontier
   matrices with one SFC64 draw block per round sliced across trials
   (:func:`repro.kernel.backends.numpy_backend.mfc_batch`) — the
@@ -21,8 +22,8 @@ backend call:
 
 Results come back as a :class:`CascadeBatchSummary`: compact per-trial
 arrays (infected / positive / negative / flip / round counts — no
-per-event materialisation, generalising the ``record_events=False``
-fast path of PR 6) plus an optional final-state matrix for consumers
+per-event materialisation; this is the trace-free path for
+estimate-only work) plus an optional final-state matrix for consumers
 that score states per node (the MAP detector, k-effectors,
 simulation matching).
 
@@ -210,19 +211,22 @@ class CascadeBatchSummary:
 # ---------------------------------------------------------------------------
 
 
-def python_mfc_batch(
+def _python_batch(
     compiled: CompiledGraph,
     validated: Dict[Node, NodeState],
     trial_seeds: Sequence[int],
     namespace: str,
-    alpha: float,
-    allow_flips: bool,
-    max_rounds: int,
-    record_states: bool = False,
+    record_states: bool,
+    loop,
+    *params,
 ) -> CascadeBatchSummary:
-    """Per-trial reference loop; bit-identical to ``simulate_many``."""
-    from repro.kernel.cascade import _mfc_cascade_summary
+    """Run ``loop`` once per trial seed and summarise the returns.
 
+    ``loop`` is :func:`repro.kernel.cascade._mfc_loop` or ``_ic_loop``,
+    called as ``loop(compiled, validated, rng, *params)`` and returning
+    ``(states, rounds, tried, log)``; attempts are the set slot flags
+    and flips the log entries marked ``was_flip``.
+    """
     infected: List[int] = []
     positive: List[int] = []
     negative: List[int] = []
@@ -231,21 +235,16 @@ def python_mfc_batch(
     rows: Optional[List[bytearray]] = [] if record_states else None
     attempts = 0
     for seed in trial_seeds:
-        states, trial_rounds, trial_attempts, trial_flips = _mfc_cascade_summary(
-            compiled,
-            validated,
-            spawn_rng(seed, namespace),
-            alpha,
-            allow_flips,
-            max_rounds,
+        states, trial_rounds, tried, log = loop(
+            compiled, validated, spawn_rng(seed, namespace), *params
         )
         pos, neg = states.count(1), states.count(2)
         positive.append(pos)
         negative.append(neg)
         infected.append(pos + neg)
-        flips.append(trial_flips)
+        flips.append(sum(1 for entry in log if entry[4]))
         rounds.append(trial_rounds)
-        attempts += trial_attempts
+        attempts += tried.count(1)
         if rows is not None:
             rows.append(states)
     return CascadeBatchSummary(
@@ -263,6 +262,25 @@ def python_mfc_batch(
     )
 
 
+def python_mfc_batch(
+    compiled: CompiledGraph,
+    validated: Dict[Node, NodeState],
+    trial_seeds: Sequence[int],
+    namespace: str,
+    alpha: float,
+    allow_flips: bool,
+    max_rounds: int,
+    record_states: bool = False,
+) -> CascadeBatchSummary:
+    """Per-trial reference loop; bit-identical to ``simulate_many``."""
+    from repro.kernel.cascade import _mfc_loop
+
+    return _python_batch(
+        compiled, validated, trial_seeds, namespace, record_states,
+        _mfc_loop, alpha, allow_flips, max_rounds,
+    )
+
+
 def python_ic_batch(
     compiled: CompiledGraph,
     validated: Dict[Node, NodeState],
@@ -272,40 +290,11 @@ def python_ic_batch(
     record_states: bool = False,
 ) -> CascadeBatchSummary:
     """Per-trial reference IC loop; bit-identical to ``simulate_many``."""
-    from repro.kernel.cascade import _ic_cascade_summary
+    from repro.kernel.cascade import _ic_loop
 
-    infected: List[int] = []
-    positive: List[int] = []
-    negative: List[int] = []
-    flips: List[int] = []
-    rounds: List[int] = []
-    rows: Optional[List[bytearray]] = [] if record_states else None
-    attempts = 0
-    for seed in trial_seeds:
-        states, trial_rounds, trial_attempts, _ = _ic_cascade_summary(
-            compiled, validated, spawn_rng(seed, namespace), propagate_signs
-        )
-        pos, neg = states.count(1), states.count(2)
-        positive.append(pos)
-        negative.append(neg)
-        infected.append(pos + neg)
-        flips.append(0)
-        rounds.append(trial_rounds)
-        attempts += trial_attempts
-        if rows is not None:
-            rows.append(states)
-    return CascadeBatchSummary(
-        nodes=compiled.nodes,
-        index=compiled.index,
-        seeds=dict(validated),
-        trials=len(infected),
-        infected=infected,
-        positive=positive,
-        negative=negative,
-        flips=flips,
-        rounds=rounds,
-        attempts=attempts,
-        states=rows,
+    return _python_batch(
+        compiled, validated, trial_seeds, namespace, record_states,
+        _ic_loop, propagate_signs,
     )
 
 

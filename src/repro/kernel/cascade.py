@@ -22,6 +22,12 @@ it matters:
   are **bit-identical** to the dict loop's, and the caller's generator
   is left in the identical post-run state.
 
+Each model has exactly one loop (:func:`_mfc_loop`, :func:`_ic_loop`)
+returning ``(states, rounds, tried, log)``: single cascades decode the
+int event log into a :class:`DiffusionResult`, and the batched python
+tier (:mod:`repro.kernel.batch`) counts attempts and flips off the same
+return.
+
 Node states are bytes: ``0`` inactive, ``1`` state ``+1``, ``2`` state
 ``-1``. The MFC update ``s(v) = s(u)·s_D(u,v)`` becomes "copy on a
 positive link, swap ``1↔2`` (i.e. ``3 - s``) on a negative link".
@@ -69,29 +75,40 @@ def check_seeds_compiled(
 
 def _plant(
     compiled: CompiledGraph, validated: Dict[Node, NodeState]
-) -> Tuple[bytearray, List[int], List[ActivationEvent]]:
-    """Seed the state array; return it with the round-0 frontier/events."""
+) -> Tuple[bytearray, List[int]]:
+    """Seed the state array; return it with the round-0 frontier."""
     states = bytearray(compiled.num_nodes)
-    index = compiled.index
-    seeded = sorted(
-        (index[node], 1 if int(state) > 0 else 2) for node, state in validated.items()
-    )
-    nodes = compiled.nodes
-    events = []
     frontier = []
-    for i, s in seeded:
+    for i, s in _seeded(compiled, validated):
         states[i] = s
         frontier.append(i)
-        events.append(
-            ActivationEvent(round=0, source=None, target=nodes[i], state=_DECODE[s])
-        )
-    return states, frontier, events
+    return states, frontier
+
+
+def _seeded(
+    compiled: CompiledGraph, validated: Dict[Node, NodeState]
+) -> List[Tuple[int, int]]:
+    """``(node index, state byte)`` per seed, ascending node index."""
+    index = compiled.index
+    return sorted(
+        (index[node], 1 if int(state) > 0 else 2) for node, state in validated.items()
+    )
+
+
+def _seed_events(
+    compiled: CompiledGraph, validated: Dict[Node, NodeState]
+) -> List[ActivationEvent]:
+    """The round-0 events: one per seed, in ascending node index."""
+    nodes = compiled.nodes
+    return [
+        ActivationEvent(round=0, source=None, target=nodes[i], state=_DECODE[s])
+        for i, s in _seeded(compiled, validated)
+    ]
 
 
 def _materialise(
     compiled: CompiledGraph,
     validated: Dict[Node, NodeState],
-    events: List[ActivationEvent],
     log: List[Tuple[int, int, int, int, bool]],
     rounds: int,
 ) -> DiffusionResult:
@@ -105,6 +122,7 @@ def _materialise(
     nodes = compiled.nodes
     decode = _DECODE
     event = ActivationEvent
+    events = _seed_events(compiled, validated)
     append = events.append
     final_states = dict(validated)
     for round_index, u, v, s, was_flip in log:
@@ -117,53 +135,28 @@ def _materialise(
     )
 
 
-def _finalise(
-    compiled: CompiledGraph,
-    validated: Dict[Node, NodeState],
-    states: bytearray,
-    rounds: int,
-) -> DiffusionResult:
-    """Trace-free result: final states scanned straight off the state array.
-
-    Used when the caller disabled event recording
-    (``record_events=False``). ``final_states`` compares equal to the
-    recorded run's dict (dict equality ignores insertion order, which
-    here is node-index order rather than the dict loop's activation
-    order); ``events`` is empty by contract.
-    """
-    nodes = compiled.nodes
-    decode = _DECODE
-    final_states = {}
-    for i, s in enumerate(states):
-        if s:
-            final_states[nodes[i]] = decode[s]
-    return DiffusionResult(
-        seeds=validated, final_states=final_states, events=[], rounds=rounds
-    )
-
-
-def _mfc_cascade(
+def _mfc_loop(
     compiled: CompiledGraph,
     validated: Dict[Node, NodeState],
     random: _random.Random,
     alpha: float,
     allow_flips: bool,
     max_rounds: int,
-    record_events: bool = True,
-) -> Tuple[DiffusionResult, bytearray]:
-    """The bare MFC loop, exactly the pre-observability kernel fast path.
+) -> Tuple[bytearray, int, bytearray, List[Tuple[int, int, int, int, bool]]]:
+    """The one MFC loop; returns ``(states, rounds, tried, log)``.
 
-    Returns the result plus the per-slot attempt flags so the wrapper
-    can derive attempt counters without any in-loop bookkeeping.
-    ``benchmarks/bench_obs_overhead.py`` times this function directly as
-    the uninstrumented baseline — keep it free of recorder calls.
+    ``tried`` holds the per-slot attempt flags and ``log`` one
+    ``(round, u, v, s_new, was_flip)`` int tuple per success. Single
+    cascades decode the log into events (:func:`_mfc_cascade`); the
+    batched tier (:mod:`repro.kernel.batch`) counts attempts and flips
+    off the same return, so both report off the identical RNG stream.
     """
     indptr, targets, _ = compiled.hot_rows()
     signs = compiled.signs
     probs = compiled.probabilities_list(alpha)
     rand = random.random
 
-    states, frontier, events = _plant(compiled, validated)
+    states, frontier = _plant(compiled, validated)
     tried = bytearray(compiled.num_edges)
     queued = bytearray(compiled.num_nodes)
     log: List[Tuple[int, int, int, int, bool]] = []
@@ -202,117 +195,28 @@ def _mfc_cascade(
         fresh.sort()
         frontier = fresh
 
-    if not record_events:
-        return _finalise(compiled, validated, states, rounds), tried
-    return _materialise(compiled, validated, events, log, rounds), tried
+    return states, rounds, tried, log
 
 
-def _mfc_cascade_summary(
+def _mfc_cascade(
     compiled: CompiledGraph,
     validated: Dict[Node, NodeState],
     random: _random.Random,
     alpha: float,
     allow_flips: bool,
     max_rounds: int,
-) -> Tuple[bytearray, int, int, int]:
-    """:func:`_mfc_cascade` with counters instead of an event log.
+) -> Tuple[DiffusionResult, bytearray]:
+    """One MFC cascade: :func:`_mfc_loop` plus event materialisation.
 
-    Identical control flow and **identical RNG consumption** — the only
-    difference is that successes bump scalar counters rather than append
-    to the log, so the per-trial summaries of the batched tier
-    (:mod:`repro.kernel.batch`) stay bit-identical to what a recorded
-    run would report. Returns ``(states, rounds, attempts, flips)``.
+    Returns the result plus the per-slot attempt flags so the wrapper
+    can derive attempt counters without any in-loop bookkeeping.
+    ``benchmarks/bench_obs_overhead.py`` times this function directly as
+    the uninstrumented baseline — keep it free of recorder calls.
     """
-    indptr, targets, _ = compiled.hot_rows()
-    signs = compiled.signs
-    probs = compiled.probabilities_list(alpha)
-    rand = random.random
-
-    states, frontier, _ = _plant(compiled, validated)
-    tried = bytearray(compiled.num_edges)
-    queued = bytearray(compiled.num_nodes)
-    rounds = 0
-    attempts = 0
-    flips = 0
-
-    while frontier and rounds < max_rounds:
-        rounds += 1
-        fresh: List[int] = []
-        for u in frontier:
-            s_u = states[u]
-            if s_u == 0:
-                continue
-            for slot in range(indptr[u], indptr[u + 1]):
-                if tried[slot]:
-                    continue
-                v = targets[slot]
-                s_v = states[v]
-                if s_v == 0:
-                    was_flip = False
-                elif allow_flips and signs[slot] and s_u != s_v:
-                    was_flip = True
-                else:
-                    continue
-                tried[slot] = 1
-                attempts += 1
-                if rand() < probs[slot]:
-                    states[v] = s_u if signs[slot] else 3 - s_u
-                    if was_flip:
-                        flips += 1
-                    if not queued[v]:
-                        queued[v] = 1
-                        fresh.append(v)
-        for v in fresh:
-            queued[v] = 0
-        fresh.sort()
-        frontier = fresh
-
-    return states, rounds, attempts, flips
-
-
-def _ic_cascade_summary(
-    compiled: CompiledGraph,
-    validated: Dict[Node, NodeState],
-    random: _random.Random,
-    propagate_signs: bool,
-) -> Tuple[bytearray, int, int, int]:
-    """Counter-only twin of :func:`_ic_cascade` (same RNG stream).
-
-    Returns ``(states, rounds, attempts, flips)``; IC has no flips, so
-    the last counter is always zero (kept for a uniform batch shape).
-    """
-    indptr, targets, weights = compiled.hot_rows()
-    signs = compiled.signs
-    rand = random.random
-
-    states, frontier, _ = _plant(compiled, validated)
-    tried = bytearray(compiled.num_edges)
-    rounds = 0
-    attempts = 0
-
-    while frontier:
-        rounds += 1
-        fresh: List[int] = []
-        for u in frontier:
-            s_u = states[u]
-            for slot in range(indptr[u], indptr[u + 1]):
-                if tried[slot]:
-                    continue
-                v = targets[slot]
-                if states[v]:
-                    continue  # IC never re-activates (and keeps the slot unspent)
-                tried[slot] = 1
-                attempts += 1
-                if rand() < weights[slot]:
-                    if propagate_signs and not signs[slot]:
-                        states[v] = 3 - s_u
-                    else:
-                        states[v] = s_u
-                    fresh.append(v)
-        fresh.sort()
-        frontier = fresh
-
-    return states, rounds, attempts, 0
+    _, rounds, tried, log = _mfc_loop(
+        compiled, validated, random, alpha, allow_flips, max_rounds
+    )
+    return _materialise(compiled, validated, log, rounds), tried
 
 
 def _record_cascade(
@@ -326,10 +230,7 @@ def _record_cascade(
     """Fold one cascade's counters into ``recorder`` (post-run, O(m)).
 
     ``tried`` is either the python backend's per-slot attempt flags or a
-    backend's pre-summed attempt count. Trace-free results
-    (``record_events=False``) carry no events, so the trace-derived
-    ``activations``/``flips`` counters are skipped rather than reported
-    as zero.
+    backend's pre-summed attempt count.
     """
     recorder.incr(f"{prefix}.cascades")
     recorder.incr(f"{prefix}.backend.{backend}")
@@ -337,11 +238,10 @@ def _record_cascade(
     # Every tried slot is one RNG roll on one distinct (u, v) edge — the
     # kernel's unit of work ("edges touched").
     recorder.incr(f"{prefix}.attempts", tried if isinstance(tried, int) else sum(tried))
-    if result.events:
-        flips = sum(1 for event in result.events if event.was_flip)
-        activations = len(result.events) - len(result.seeds) - flips
-        recorder.incr(f"{prefix}.activations", activations)
-        recorder.incr(f"{prefix}.flips", flips)
+    flips = sum(1 for event in result.events if event.was_flip)
+    activations = len(result.events) - len(result.seeds) - flips
+    recorder.incr(f"{prefix}.activations", activations)
+    recorder.incr(f"{prefix}.flips", flips)
     recorder.gauge(f"{prefix}.infected", float(len(result.final_states)))
     recorder.timing(f"{prefix}.cascade", seconds)
 
@@ -355,7 +255,6 @@ def run_mfc_compiled(
     max_rounds: int,
     recorder: Optional[Recorder] = None,
     backend: Optional[str] = None,
-    record_events: bool = True,
 ) -> DiffusionResult:
     """MFC (paper Algorithm 1) over the CSR arrays.
 
@@ -366,15 +265,9 @@ def run_mfc_compiled(
     ``backend`` picks the execution backend (see
     :mod:`repro.kernel.backends`); ``None`` defers to the
     ``REPRO_KERNEL_BACKEND`` env default, which is the bit-identical
-    interpreted path.
-
-    ``record_events=False`` returns a trace-free result: ``events`` is
-    empty and ``final_states`` is scanned off the state array (equal as
-    a dict to the recorded run's, in node-index rather than activation
-    order). Monte-Carlo spread estimation reads only ``final_states``,
-    and on large graphs event materialisation is a fixed per-cascade
-    cost both backends share — skipping it is the cheap path for
-    estimate-only workloads.
+    interpreted path. The result always carries the full event trace;
+    estimate-only workloads that need no trace run
+    :func:`repro.kernel.batch.run_mfc_batch` instead.
 
     With an enabled ``recorder`` (explicit or ambient via
     :func:`repro.obs.using_recorder`), per-cascade counters
@@ -388,23 +281,11 @@ def run_mfc_compiled(
     engine = _backends.resolve_backend(backend)
     if not rec.enabled:
         return engine.mfc_cascade(
-            compiled,
-            validated,
-            random,
-            alpha,
-            allow_flips,
-            max_rounds,
-            record_events=record_events,
+            compiled, validated, random, alpha, allow_flips, max_rounds
         )[0]
     start = _time.perf_counter()
     result, tried = engine.mfc_cascade(
-        compiled,
-        validated,
-        random,
-        alpha,
-        allow_flips,
-        max_rounds,
-        record_events=record_events,
+        compiled, validated, random, alpha, allow_flips, max_rounds
     )
     _record_cascade(
         rec, "kernel.mfc", result, tried, _time.perf_counter() - start, engine.name
@@ -412,19 +293,19 @@ def run_mfc_compiled(
     return result
 
 
-def _ic_cascade(
+def _ic_loop(
     compiled: CompiledGraph,
     validated: Dict[Node, NodeState],
     random: _random.Random,
     propagate_signs: bool,
-    record_events: bool = True,
-) -> Tuple[DiffusionResult, bytearray]:
-    """The bare IC loop (uninstrumented twin of :func:`_mfc_cascade`)."""
+) -> Tuple[bytearray, int, bytearray, List[Tuple[int, int, int, int, bool]]]:
+    """The one IC loop; returns ``(states, rounds, tried, log)`` like
+    :func:`_mfc_loop` (IC never flips, so every log entry says so)."""
     indptr, targets, weights = compiled.hot_rows()
     signs = compiled.signs
     rand = random.random
 
-    states, frontier, events = _plant(compiled, validated)
+    states, frontier = _plant(compiled, validated)
     tried = bytearray(compiled.num_edges)
     log: List[Tuple[int, int, int, int, bool]] = []
     rounds = 0
@@ -452,9 +333,18 @@ def _ic_cascade(
         fresh.sort()
         frontier = fresh
 
-    if not record_events:
-        return _finalise(compiled, validated, states, rounds), tried
-    return _materialise(compiled, validated, events, log, rounds), tried
+    return states, rounds, tried, log
+
+
+def _ic_cascade(
+    compiled: CompiledGraph,
+    validated: Dict[Node, NodeState],
+    random: _random.Random,
+    propagate_signs: bool,
+) -> Tuple[DiffusionResult, bytearray]:
+    """One IC cascade: :func:`_ic_loop` plus event materialisation."""
+    _, rounds, tried, log = _ic_loop(compiled, validated, random, propagate_signs)
+    return _materialise(compiled, validated, log, rounds), tried
 
 
 def run_ic_compiled(
@@ -464,24 +354,19 @@ def run_ic_compiled(
     propagate_signs: bool,
     recorder: Optional[Recorder] = None,
     backend: Optional[str] = None,
-    record_events: bool = True,
 ) -> DiffusionResult:
     """Independent Cascade over the CSR arrays (sign-blind probabilities).
 
-    Observability, backend selection and the ``record_events`` toggle
-    mirror :func:`run_mfc_compiled`, under the ``kernel.ic.*`` names
-    (IC has no flips, so ``kernel.ic.flips`` stays zero).
+    Observability and backend selection mirror :func:`run_mfc_compiled`,
+    under the ``kernel.ic.*`` names (IC has no flips, so
+    ``kernel.ic.flips`` stays zero).
     """
     rec = resolve_recorder(recorder)
     engine = _backends.resolve_backend(backend)
     if not rec.enabled:
-        return engine.ic_cascade(
-            compiled, validated, random, propagate_signs, record_events=record_events
-        )[0]
+        return engine.ic_cascade(compiled, validated, random, propagate_signs)[0]
     start = _time.perf_counter()
-    result, tried = engine.ic_cascade(
-        compiled, validated, random, propagate_signs, record_events=record_events
-    )
+    result, tried = engine.ic_cascade(compiled, validated, random, propagate_signs)
     _record_cascade(
         rec, "kernel.ic", result, tried, _time.perf_counter() - start, engine.name
     )

@@ -27,7 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
-from repro.errors import DeltaApplicationError, EdgeNotFoundError, NodeNotFoundError
+from repro.errors import (
+    DeltaApplicationError,
+    EdgeNotFoundError,
+    EventLogFormatError,
+    NodeNotFoundError,
+)
 from repro.graphs.signed_digraph import SignedDiGraph
 from repro.runtime.cache import _decode_node, _encode_node
 from repro.types import Node, NodeState
@@ -94,21 +99,36 @@ class SnapshotDelta:
 
     @classmethod
     def from_json(cls, payload: dict) -> "SnapshotDelta":
-        """Inverse of :meth:`to_json` (unknown keys are ignored)."""
-        return cls(
-            states={
-                _decode_node(n): NodeState(s) for n, s in payload.get("states", [])
-            },
-            add_edges=[
-                (_decode_node(u), _decode_node(v), int(sign), float(weight))
-                for u, v, sign, weight in payload.get("add_edges", [])
-            ],
-            remove_edges=[
-                (_decode_node(u), _decode_node(v))
-                for u, v in payload.get("remove_edges", [])
-            ],
-            remove_nodes=[_decode_node(n) for n in payload.get("remove_nodes", [])],
-        )
+        """Inverse of :meth:`to_json` (unknown keys are ignored).
+
+        Raises:
+            EventLogFormatError: when ``payload`` is not an object or a
+                field does not decode (wrong shape, bad node pair,
+                non-numeric or non-finite sign, unknown state).
+        """
+        if not isinstance(payload, dict):
+            raise EventLogFormatError(
+                f"delta payload must be a JSON object, got {type(payload).__name__}"
+            )
+        try:
+            return cls(
+                states={
+                    _decode_node(n): NodeState(s) for n, s in payload.get("states", [])
+                },
+                add_edges=[
+                    (_decode_node(u), _decode_node(v), int(sign), float(weight))
+                    for u, v, sign, weight in payload.get("add_edges", [])
+                ],
+                remove_edges=[
+                    (_decode_node(u), _decode_node(v))
+                    for u, v in payload.get("remove_edges", [])
+                ],
+                remove_nodes=[
+                    _decode_node(n) for n in payload.get("remove_nodes", [])
+                ],
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise EventLogFormatError(f"malformed delta: {exc}") from None
 
 
 def apply_delta(graph: SignedDiGraph, delta: SnapshotDelta) -> Set[Node]:

@@ -80,19 +80,24 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
     """Parse a JSONL event log written by :func:`write_event_log`.
 
     Raises:
-        EventLogFormatError: on malformed JSON, an unknown record type,
-            a snapshot record that is not the first line, or an
-            unsupported format tag.
+        EventLogFormatError: on a line that is not UTF-8 JSON, a record
+            that is not an object, an unknown record type, a snapshot
+            record that is not the first line, an unsupported format
+            tag, or a snapshot/delta record with malformed fields.
     """
     log = EventLog()
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
+    with Path(path).open("rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise EventLogFormatError(f"invalid UTF-8: {exc}", line_number) from None
             if not line:
                 continue
             try:
                 record = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
+                # RecursionError: nesting deeper than the JSON decoder's stack.
                 raise EventLogFormatError(f"invalid JSON: {exc}", line_number) from None
             if not isinstance(record, dict):
                 raise EventLogFormatError(
@@ -111,16 +116,23 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                         f"(this reader speaks {EVENT_LOG_FORMAT!r})",
                         line_number,
                     )
+                graph = record.get("graph")
+                if not isinstance(graph, dict):
+                    raise EventLogFormatError(
+                        "snapshot graph must be a JSON object, "
+                        f"got {type(graph).__name__}",
+                        line_number,
+                    )
                 try:
-                    log.snapshot = decode_graph(record["graph"])
-                except (KeyError, TypeError, ValueError) as exc:
+                    log.snapshot = decode_graph(graph)
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise EventLogFormatError(
                         f"bad snapshot record: {exc}", line_number
                     ) from None
             elif kind == "delta":
                 try:
                     log.deltas.append(SnapshotDelta.from_json(record))
-                except (KeyError, TypeError, ValueError) as exc:
+                except EventLogFormatError as exc:
                     raise EventLogFormatError(
                         f"bad delta record: {exc}", line_number
                     ) from None

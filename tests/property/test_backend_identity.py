@@ -36,7 +36,13 @@ from repro.graphs.generators.random_graphs import (
     signed_preferential_attachment,
 )
 from repro.graphs.generators.trees import random_general_tree
-from repro.kernel import compile_graph, run_ic_compiled, run_mfc_compiled
+from repro.kernel import (
+    compile_graph,
+    run_ic_batch,
+    run_ic_compiled,
+    run_mfc_batch,
+    run_mfc_compiled,
+)
 from repro.kernel.backends import resolve_backend
 from repro.kernel.cascade import check_seeds_compiled
 from repro.types import NodeState
@@ -153,38 +159,61 @@ class TestExactGraphInvariants:
             ].final_states
         )
 
-    def test_trace_free_runs_match_recorded_runs(self):
-        """`record_events=False` changes the trace, never the cascade.
 
-        The numpy backend derives its bit generator deterministically
-        from the caller's `random.Random`, so the same seed replays the
-        same cascade — with and without event materialisation.
-        """
-        graph = signed_erdos_renyi(60, 0.15, weight_range=(0.3, 0.9), rng=41)
+class TestSingleCascadeIsT1Batch:
+    """A numpy single cascade is the batch loop run on one trial seed.
+
+    The adapter draws that seed from the caller's generator, so the same
+    ``random.Random`` replays the same cascade through either entry
+    point: final states, rounds, attempts and the event-derived flip
+    count all agree with the T = 1 batch summary.
+    """
+
+    def _world(self):
+        graph = signed_erdos_renyi(
+            120, 0.05, positive_probability=0.6, weight_range=(0.2, 0.8), rng=41
+        )
         compiled = compile_graph(graph)
-        validated = check_seeds_compiled(compiled, _seeds(graph, None))
-        for backend in ("python", "numpy"):
-            recorded = run_mfc_compiled(
-                compiled, validated, random.Random(9), 2.0, True, 10**9,
-                backend=backend,
-            )
-            bare = run_mfc_compiled(
-                compiled, validated, random.Random(9), 2.0, True, 10**9,
-                backend=backend, record_events=False,
-            )
-            assert bare.events == []
-            assert bare.final_states == recorded.final_states
-            assert bare.rounds == recorded.rounds
-            recorded_ic = run_ic_compiled(
-                compiled, validated, random.Random(10), True, backend=backend
-            )
-            bare_ic = run_ic_compiled(
-                compiled, validated, random.Random(10), True, backend=backend,
-                record_events=False,
-            )
-            assert bare_ic.events == []
-            assert bare_ic.final_states == recorded_ic.final_states
-            assert bare_ic.rounds == recorded_ic.rounds
+        return compiled, check_seeds_compiled(compiled, _seeds(graph, None))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mfc_matches_t1_batch(self, seed):
+        compiled, validated = self._world()
+        trial_seed = random.Random(seed).getrandbits(64)
+        summary = run_mfc_batch(
+            compiled, validated, [trial_seed], alpha=2.0, allow_flips=True,
+            max_rounds=10**9, backend="numpy", record_states=True,
+        )
+        result, attempts = resolve_backend("numpy").mfc_cascade(
+            compiled, validated, random.Random(seed), 2.0, True, 10**9
+        )
+        assert result == run_mfc_compiled(
+            compiled, validated, random.Random(seed), 2.0, True, 10**9,
+            backend="numpy",
+        )
+        assert result.final_states == summary.final_states(0)
+        assert result.rounds == summary.rounds[0]
+        assert attempts == summary.attempts
+        flips = sum(1 for event in result.events if event.was_flip)
+        assert flips == summary.flips[0]
+        # Seeds plus first activations: one non-flip event per infected node.
+        assert len(result.events) - flips == summary.infected[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ic_matches_t1_batch(self, seed):
+        compiled, validated = self._world()
+        trial_seed = random.Random(seed).getrandbits(64)
+        summary = run_ic_batch(
+            compiled, validated, [trial_seed], propagate_signs=True,
+            backend="numpy", record_states=True,
+        )
+        result = run_ic_compiled(
+            compiled, validated, random.Random(seed), True, backend="numpy"
+        )
+        assert result.final_states == summary.final_states(0)
+        assert result.rounds == summary.rounds[0]
+        assert len(result.events) == summary.infected[0]
+        assert not any(event.was_flip for event in result.events)
 
 
 @st.composite

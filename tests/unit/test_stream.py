@@ -134,6 +134,18 @@ class TestEventLog:
         with pytest.raises(EventLogFormatError, match="v99"):
             read_event_log(path)
 
+    def test_snapshot_graph_must_be_an_object(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"type":"snapshot","graph":[]}\n')
+        with pytest.raises(EventLogFormatError, match="line 1: .*JSON object, got list"):
+            read_event_log(path)
+
+    def test_deep_nesting_is_a_format_error(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(EventLogFormatError, match="line 1: invalid JSON"):
+            read_event_log(path)
+
 
 class TestStreamingEngine:
     def assert_identical_to_cold(self, engine):
